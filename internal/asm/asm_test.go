@@ -37,7 +37,7 @@ func TestEncodeDecodeTwoRegister(t *testing.T) {
 			f := func(d, r uint8) bool {
 				di, ri := int(d%32), int(r%32)
 				in := decode1(tt.enc(di, ri))
-				return in.Op == tt.op && in.D == di && in.R == ri
+				return in.Op == tt.op && int(in.D) == di && int(in.R) == ri
 			}
 			if err := quick.Check(f, nil); err != nil {
 				t.Error(err)
@@ -64,7 +64,7 @@ func TestEncodeDecodeImmediates(t *testing.T) {
 			f := func(d, k uint8) bool {
 				di := 16 + int(d%16)
 				in := decode1(tt.enc(di, int(k)))
-				return in.Op == tt.op && in.D == di && in.K == int(k)
+				return in.Op == tt.op && int(in.D) == di && int(in.K) == int(k)
 			}
 			if err := quick.Check(f, nil); err != nil {
 				t.Error(err)
@@ -80,10 +80,10 @@ func TestEncodeDecodeDisplacement(t *testing.T) {
 		sty := decode2([2]uint16{asm.STDY(qi, di), 0})
 		ldz := decode2([2]uint16{asm.LDDZ(di, qi), 0})
 		stz := decode2([2]uint16{asm.STDZ(qi, di), 0})
-		return ldy.Op == avr.OpLDDY && ldy.D == di && ldy.Q == qi &&
-			sty.Op == avr.OpSTDY && sty.D == di && sty.Q == qi &&
-			ldz.Op == avr.OpLDDZ && ldz.D == di && ldz.Q == qi &&
-			stz.Op == avr.OpSTDZ && stz.D == di && stz.Q == qi
+		return ldy.Op == avr.OpLDDY && int(ldy.D) == di && int(ldy.Q) == qi &&
+			sty.Op == avr.OpSTDY && int(sty.D) == di && int(sty.Q) == qi &&
+			ldz.Op == avr.OpLDDZ && int(ldz.D) == di && int(ldz.Q) == qi &&
+			stz.Op == avr.OpSTDZ && int(stz.D) == di && int(stz.Q) == qi
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -108,8 +108,8 @@ func TestEncodeDecodeRelative(t *testing.T) {
 		kk := int(k % 2048)
 		rj := decode1(asm.RJMP(kk))
 		rc := decode1(asm.RCALL(kk))
-		return rj.Op == avr.OpRJMP && rj.K == kk &&
-			rc.Op == avr.OpRCALL && rc.K == kk
+		return rj.Op == avr.OpRJMP && int(rj.K) == kk &&
+			rc.Op == avr.OpRCALL && int(rc.K) == kk
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -122,8 +122,8 @@ func TestEncodeDecodeBranches(t *testing.T) {
 		ki := int(k % 64)
 		bs := decode1(asm.BRBS(si, ki))
 		bc := decode1(asm.BRBC(si, ki))
-		return bs.Op == avr.OpBRBS && bs.D == si && bs.K == ki &&
-			bc.Op == avr.OpBRBC && bc.D == si && bc.K == ki
+		return bs.Op == avr.OpBRBS && int(bs.D) == si && int(bs.K) == ki &&
+			bc.Op == avr.OpBRBC && int(bc.D) == si && int(bc.K) == ki
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -135,8 +135,8 @@ func TestEncodeDecodeInOut(t *testing.T) {
 		di, ai := int(d%32), int(a%64)
 		i := decode1(asm.IN(di, ai))
 		o := decode1(asm.OUT(ai, di))
-		return i.Op == avr.OpIN && i.D == di && i.A == ai &&
-			o.Op == avr.OpOUT && o.D == di && o.A == ai
+		return i.Op == avr.OpIN && int(i.D) == di && int(i.A) == ai &&
+			o.Op == avr.OpOUT && int(o.D) == di && int(o.A) == ai
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -148,8 +148,8 @@ func TestEncodeDecodeLdsSts(t *testing.T) {
 		di := int(d % 32)
 		l := decode2(asm.LDS(di, addr))
 		s := decode2(asm.STS(addr, di))
-		return l.Op == avr.OpLDS && l.D == di && l.Target == uint32(addr) && l.Words == 2 &&
-			s.Op == avr.OpSTS && s.D == di && s.Target == uint32(addr) && s.Words == 2
+		return l.Op == avr.OpLDS && int(l.D) == di && l.Target == uint32(addr) && l.Words == 2 &&
+			s.Op == avr.OpSTS && int(s.D) == di && s.Target == uint32(addr) && s.Words == 2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -158,10 +158,10 @@ func TestEncodeDecodeLdsSts(t *testing.T) {
 
 func TestEncodeDecodePushPop(t *testing.T) {
 	for d := 0; d < 32; d++ {
-		if in := decode1(asm.PUSH(d)); in.Op != avr.OpPUSH || in.D != d {
+		if in := decode1(asm.PUSH(d)); in.Op != avr.OpPUSH || int(in.D) != d {
 			t.Errorf("push r%d decoded as %v r%d", d, in.Op, in.D)
 		}
-		if in := decode1(asm.POP(d)); in.Op != avr.OpPOP || in.D != d {
+		if in := decode1(asm.POP(d)); in.Op != avr.OpPOP || int(in.D) != d {
 			t.Errorf("pop r%d decoded as %v r%d", d, in.Op, in.D)
 		}
 	}
@@ -178,7 +178,7 @@ func TestEncodeDecodeOneOperand(t *testing.T) {
 	}
 	for _, tt := range tests {
 		for d := 0; d < 32; d++ {
-			if in := decode1(tt.enc(d)); in.Op != tt.op || in.D != d {
+			if in := decode1(tt.enc(d)); in.Op != tt.op || int(in.D) != d {
 				t.Errorf("%v r%d decoded as %v r%d", tt.op, d, in.Op, in.D)
 			}
 		}
@@ -405,7 +405,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 		if in.Words != 1 && in.Words != 2 {
 			t.Fatalf("decode(0x%04X) produced Words=%d", w0, in.Words)
 		}
-		if got := avr.InstrWords(w0); got != in.Words && in.Op != avr.OpInvalid {
+		if got := avr.InstrWords(w0); got != int(in.Words) && in.Op != avr.OpInvalid {
 			t.Fatalf("InstrWords(0x%04X)=%d but decode says %d (%v)", w0, got, in.Words, in.Op)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // instruction's own word address, used to compute absolute targets of
 // relative branches.
 func FormatInstr(in avr.Instr, pc uint32) string {
-	reg := func(r int) string { return fmt.Sprintf("r%d", r) }
+	reg := func(r uint8) string { return fmt.Sprintf("r%d", r) }
 	next := int64(pc) + int64(in.Words)
 
 	switch in.Op {

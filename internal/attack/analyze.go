@@ -118,18 +118,18 @@ func (a *Analysis) analyzePrologue(image []byte) error {
 		in := avr.DecodeAt(image, pc)
 		switch in.Op {
 		case avr.OpPUSH:
-			a.PushRegs = append(a.PushRegs, in.D)
+			a.PushRegs = append(a.PushRegs, int(in.D))
 		case avr.OpSUBI:
 			if in.D == 28 {
-				a.FrameBytes |= in.K
+				a.FrameBytes |= int(in.K)
 			}
 		case avr.OpSBCI:
 			if in.D == 29 {
-				a.FrameBytes |= in.K << 8
+				a.FrameBytes |= int(in.K) << 8
 			}
 		case avr.OpSBIW:
 			if in.D == 28 {
-				a.FrameBytes = in.K
+				a.FrameBytes = int(in.K)
 			}
 		case avr.OpOUT:
 			if in.A == avr.IOAddrSPL {

@@ -122,10 +122,10 @@ func TestWriterCandidatesRejectsDegenerateRuns(t *testing.T) {
 		// Build a synthetic gadget carrying the store run in question.
 		gd := &gadget.Gadget{Addr: 0x100}
 		for i, r := range storeRegs {
-			gd.Instrs = append(gd.Instrs, avr.Instr{Op: avr.OpSTDY, D: r, Q: i + 1, Words: 1})
+			gd.Instrs = append(gd.Instrs, avr.Instr{Op: avr.OpSTDY, D: uint8(r), Q: uint8(i + 1), Words: 1})
 		}
 		for _, r := range []int{29, 28, storeRegs[0], storeRegs[1], storeRegs[2]} {
-			gd.Instrs = append(gd.Instrs, avr.Instr{Op: avr.OpPOP, D: r, Words: 1})
+			gd.Instrs = append(gd.Instrs, avr.Instr{Op: avr.OpPOP, D: uint8(r), Words: 1})
 		}
 		gd.Instrs = append(gd.Instrs, avr.Instr{Op: avr.OpRET, Words: 1})
 		return writerCandidates([]*gadget.Gadget{gd})

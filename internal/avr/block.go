@@ -27,10 +27,17 @@ package avr
 //     hook-capable one with the interpreter's pre-instruction check
 //     (fault / SEI-delay / pending). When the check fires, the block
 //     bails to the interpreter at that exact PC.
-//   - Invalidation mirrors the decode cache: LoadFlash, SPM page
-//     erase/write and InvalidateFlash all bump per-flash-page
-//     generation counters; a cached block re-validates its (at most
-//     two) covering pages on entry and is retranslated when stale.
+//   - Invalidation shares the decode cache's contract and page index:
+//     LoadFlash, SPM page erase/write and InvalidateFlash all bump
+//     per-flash-page generation counters; a cached block re-validates
+//     its (at most two) covering pages on entry and is retranslated
+//     when stale.
+//
+// Translations and their heat counts live in block pages, one per SPM
+// page and allocated when Run first enters an address in it, so a core
+// pays only for the code it runs hot. Unlike decode pages they are
+// never dropped: the generation check finds stale entries, and heat
+// survives a rewrite.
 //
 // The engine turns itself off — falling back to the plain interpreter
 // loop — whenever OnStep is set (tracing observes every instruction),
@@ -51,8 +58,6 @@ const (
 	// heatPoison marks an entry PC whose instruction has no translation;
 	// Run interprets it forever instead of re-attempting.
 	heatPoison = 0xFF
-	// flashPages is the number of SPM-page-sized generation buckets.
-	flashPages = FlashSize / SPMPageSize
 )
 
 // forceInterpEnv is the CI/tooling escape hatch: MAVR_AVR_INTERP=1
@@ -80,8 +85,10 @@ type blockStep struct {
 	pc uint32
 	// fixup is the block's straight-line cycle sum minus the cycles of
 	// all steps before this one. Subtracting it from Cycles on a bail
-	// rewinds the batched entry accounting to this exact boundary.
-	fixup uint64
+	// rewinds the batched entry accounting to this exact boundary. A
+	// block's body is at most maxBlockInstrs short instructions, so 32
+	// bits hold it and the step packs into 24 bytes.
+	fixup uint32
 	// check replicates the interpreter's pre-instruction tests. It is
 	// set only on steps following a hook-capable (impure) instruction —
 	// the only place fault/pending/SEI-delay state can change inside a
@@ -113,70 +120,50 @@ func (c *CPU) blocksEnabled() bool {
 	return c.OnStep == nil && !c.ForceInterpreter
 }
 
+// blockPage holds the translations entered in one flash page and the
+// heat counts that gate them, indexed by word offset in the page.
+type blockPage struct {
+	blocks [pageWords]*block
+	heat   [pageWords]uint8
+}
+
 // blockFor returns the valid translation entered at pc, translating it
 // if the entry is hot, or nil while it is cold.
 func (c *CPU) blockFor(pc uint32) *block {
-	if c.blocks == nil {
-		c.blocks = make([]*block, FlashWords)
-		c.blockHeat = make([]uint8, FlashWords)
-		if c.pageGen == nil {
-			c.pageGen = make([]uint32, flashPages)
-		}
+	bp := c.blocks[pc/pageWords]
+	if bp == nil {
+		bp = new(blockPage)
+		c.blocks[pc/pageWords] = bp
 	}
-	if b := c.blocks[pc]; b != nil {
-		for i := 0; i < b.npages; i++ {
-			if c.pageGen[b.pages[i]] != b.gens[i] {
+	i := pc % pageWords
+	if b := bp.blocks[i]; b != nil {
+		for j := 0; j < b.npages; j++ {
+			if c.pageGen[b.pages[j]] != b.gens[j] {
 				c.blkStats.Invalidated++
-				return c.retranslate(pc)
+				return c.retranslate(bp, pc)
 			}
 		}
 		return b
 	}
-	switch h := c.blockHeat[pc]; {
+	switch h := bp.heat[i]; {
 	case h == heatPoison:
 		return nil
 	case h < hotThreshold:
-		c.blockHeat[pc] = h + 1
+		bp.heat[i] = h + 1
 		return nil
 	}
-	return c.retranslate(pc)
+	return c.retranslate(bp, pc)
 }
 
-func (c *CPU) retranslate(pc uint32) *block {
+// retranslate translates the entry at pc into its slot of bp, the
+// block page covering pc.
+func (c *CPU) retranslate(bp *blockPage, pc uint32) *block {
 	b := c.translate(pc)
-	c.blocks[pc] = b
+	bp.blocks[pc%pageWords] = b
 	if b == nil {
-		c.blockHeat[pc] = heatPoison
+		bp.heat[pc%pageWords] = heatPoison
 	}
 	return b
-}
-
-// bumpPageGens invalidates every cached block overlapping the modified
-// byte range [start, start+n). Like the decode cache, the range is
-// extended one word backwards: the word before may be the first word
-// of a two-word instruction whose operand just changed.
-func (c *CPU) bumpPageGens(start, n uint32) {
-	if c.pageGen == nil || n == 0 {
-		return
-	}
-	lo := uint32(0)
-	if start >= 2 {
-		lo = (start - 2) / SPMPageSize
-	}
-	hi := (start + n - 1) / SPMPageSize
-	if hi >= flashPages {
-		hi = flashPages - 1
-	}
-	for p := lo; p <= hi; p++ {
-		c.pageGen[p]++
-	}
-}
-
-// bumpAllPageGens invalidates every cached block.
-func (c *CPU) bumpAllPageGens() {
-	for i := range c.pageGen {
-		c.pageGen[i]++
-	}
 }
 
 // execBlock runs one translated block. The caller has already
@@ -201,7 +188,7 @@ func (c *CPU) execBlock(b *block) {
 			// boundary and leave PC there, exactly where the
 			// interpreter would stand.
 			if c.fault != nil {
-				c.Cycles -= s.fixup
+				c.Cycles -= uint64(s.fixup)
 				c.PC = s.pc
 				return
 			}
@@ -211,7 +198,7 @@ func (c *CPU) execBlock(b *block) {
 					// bail WITHOUT consuming the delay so the outer loop
 					// consumes it, interprets this one instruction, and
 					// then dispatches — the interpreter's exact order.
-					c.Cycles -= s.fixup
+					c.Cycles -= uint64(s.fixup)
 					c.PC = s.pc
 					c.blkStats.Bails++
 					return
@@ -220,7 +207,7 @@ func (c *CPU) execBlock(b *block) {
 			} else if c.pendingInts != 0 {
 				// An interrupt arrived mid-block: let the outer loop
 				// dispatch it before this instruction.
-				c.Cycles -= s.fixup
+				c.Cycles -= uint64(s.fixup)
 				c.PC = s.pc
 				c.blkStats.Bails++
 				return

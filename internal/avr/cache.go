@@ -1,89 +1,103 @@
 package avr
 
-// Predecoded instruction cache.
+// Paged predecode cache.
 //
 // Every workload in this reproduction — attack delivery, boot-time
 // re-randomization, timing analysis — bottoms out in the CPU dispatch
 // loop. Re-decoding the same flash words on every executed cycle is
 // pure waste: flash only changes through a handful of well-defined
-// channels. The cache decodes each flash word once into a side table
-// indexed by PC and serves subsequent fetches from it.
+// channels. The cache keeps one table of decoded instructions per SPM
+// page (128 words); fetches are served from it.
+//
+// A page table is built whole the first time any word in the page is
+// fetched, and a nil table means nothing in the page is decoded. So a
+// core pays only for the flash it actually executes: a few KiB per
+// page touched, instead of a table covering all of flash. The decode,
+// translated-block (block.go) and page-generation tables share the
+// same page index.
 //
 // Invalidation contract (load-bearing for MAVR, whose whole defense is
 // rewriting flash under the application):
 //
-//   - LoadFlash replaces the entire image        -> full invalidation
-//   - SPM page erase/write (spm.go)              -> page invalidated
+//   - LoadFlash replaces the entire image        -> every page dropped
+//   - SPM page erase/write (spm.go)              -> page dropped
 //   - external writes (bootloader installation,
 //     board-level programming)                   -> caller invalidates
 //     via InvalidateFlash
 //
 // A range invalidation always extends one word before the modified
 // region: that word may be the first word of a two-word instruction
-// whose second word just changed.
-//
-// The table is allocated lazily on first fetch so CPUs that never
-// execute (attacker analysis copies, disassembly helpers) pay nothing.
+// whose second word just changed, and it may sit on the previous page.
+// A dropped page is decoded again from current flash on its next
+// fetch.
+
+const (
+	// pageWords is the number of flash words per SPM page, the unit of
+	// the decode, block and generation tables.
+	pageWords = SPMPageSize / 2
+	// flashPages is the number of SPM pages in flash.
+	flashPages = FlashSize / SPMPageSize
+)
+
+// decodePage holds the decoded instruction at every word of one flash
+// page, each decoded as if execution started there.
+type decodePage [pageWords]Instr
 
 // fetch returns the decoded instruction at word address pc, decoding
-// and caching it on a miss. pc must be < FlashWords.
+// its page on a miss. pc must be < FlashWords.
 func (c *CPU) fetch(pc uint32) Instr {
-	if c.decValid == nil {
-		c.decoded = make([]Instr, FlashWords)
-		c.decValid = make([]uint64, FlashWords/64)
+	p := c.decoded[pc/pageWords]
+	if p == nil {
+		p = c.fillDecodePage(pc / pageWords)
 	}
-	if c.decValid[pc>>6]&(1<<(pc&63)) != 0 {
-		return c.decoded[pc]
+	return p[pc%pageWords]
+}
+
+// fillDecodePage decodes flash page n whole and installs it.
+func (c *CPU) fillDecodePage(n uint32) *decodePage {
+	p := new(decodePage)
+	pc := n * pageWords
+	for i := range p {
+		var w1 uint16
+		if pc+1 < FlashWords {
+			w1 = wordAt(c.Flash, pc+1)
+		}
+		p[i] = Decode(wordAt(c.Flash, pc), w1)
+		pc++
 	}
-	w0 := wordAt(c.Flash, pc)
-	var w1 uint16
-	if pc+1 < FlashWords {
-		w1 = wordAt(c.Flash, pc+1)
-	}
-	in := Decode(w0, w1)
-	c.decoded[pc] = in
-	c.decValid[pc>>6] |= 1 << (pc & 63)
-	return in
+	c.decoded[n] = p
+	return p
 }
 
 // InvalidateFlash marks n flash bytes starting at byte address start as
-// modified, evicting the affected decode-cache lines. Code that writes
-// c.Flash directly (the board's bootloader installation, external
-// programmers) must call this; the CPU's own flash channels (LoadFlash,
-// SPM) invalidate automatically.
+// modified: it drops the decode pages covering them and bumps their
+// generation, so translated blocks over them retranslate on next entry.
+// Code that writes c.Flash directly (the board's bootloader
+// installation, external programmers) must call this; the CPU's own
+// flash channels (LoadFlash, SPM) invalidate automatically.
 func (c *CPU) InvalidateFlash(start, n uint32) {
-	c.bumpPageGens(start, n) // translated blocks share the contract
-	if c.decValid == nil || n == 0 {
+	if n == 0 {
 		return
 	}
-	lo := start / 2
-	if lo > 0 {
-		lo-- // previous word may hold a two-word instruction's first half
+	lo := uint32(0)
+	if start >= 2 {
+		lo = (start - 2) / SPMPageSize // the word before may start a two-word instruction
 	}
-	hi := (start + n + 1) / 2 // exclusive word bound
-	if hi > FlashWords {
-		hi = FlashWords
+	hi := (start + n - 1) / SPMPageSize
+	if hi >= flashPages {
+		hi = flashPages - 1
 	}
-	// Clear whole 64-bit blocks where possible; bit-by-bit at the edges.
-	for lo < hi && lo&63 != 0 {
-		c.decValid[lo>>6] &^= 1 << (lo & 63)
-		lo++
-	}
-	for lo+64 <= hi {
-		c.decValid[lo>>6] = 0
-		lo += 64
-	}
-	for lo < hi {
-		c.decValid[lo>>6] &^= 1 << (lo & 63)
-		lo++
+	for p := lo; p <= hi; p++ {
+		c.decoded[p] = nil
+		c.pageGen[p]++
 	}
 }
 
-// InvalidateAllFlash evicts every decode-cache line and every
+// InvalidateAllFlash drops every decode page and invalidates every
 // translated block.
 func (c *CPU) InvalidateAllFlash() {
-	for i := range c.decValid {
-		c.decValid[i] = 0
+	for p := range c.decoded {
+		c.decoded[p] = nil
+		c.pageGen[p]++
 	}
-	c.bumpAllPageGens()
 }

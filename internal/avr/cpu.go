@@ -66,6 +66,11 @@ type IOReadFunc func(cur byte) byte
 type IOWriteFunc func(v byte)
 
 // CPU is a simulated ATmega2560 core.
+//
+// Every board boot, re-randomization and attacker simulation brings up
+// a fresh CPU, so its fixed cost matters. Besides the memories it holds
+// only page-indexed table headers; the decode and block tables behind
+// them are allocated a flash page at a time as execution reaches it.
 type CPU struct {
 	// Flash is the byte-addressed program memory (len FlashSize). It is
 	// execute/LPM-only from the program's point of view; stores cannot
@@ -104,19 +109,17 @@ type CPU struct {
 	spmBuf      [SPMPageSize]byte
 	spmBufInit  bool
 
-	// Predecoded instruction cache (see cache.go). decoded[pc] is valid
-	// iff bit pc of decValid is set; both are allocated on first fetch.
-	decoded  []Instr
-	decValid []uint64
+	// Paged predecode cache (see cache.go): decoded[n] holds the
+	// decoded words of flash page n, or nil until a fetch touches it.
+	decoded [flashPages]*decodePage
 
-	// Block translation engine state (see block.go). blocks[pc] caches
-	// the translation entered at pc; blockHeat gates translation to hot
-	// entries; pageGen holds per-flash-page generation counters that
-	// invalidate stale translations. All allocated on first use.
-	blocks    []*block
-	blockHeat []uint8
-	pageGen   []uint32
-	blkStats  BlockStats
+	// Block translation engine state (see block.go), on the same page
+	// index: blocks[n] caches the translations entered in page n and
+	// their heat; pageGen[n] counts rewrites of page n, invalidating
+	// translations stamped with an older generation.
+	blocks   [flashPages]*blockPage
+	pageGen  [flashPages]uint32
+	blkStats BlockStats
 }
 
 // New returns a CPU with zeroed memories and SP initialized to the top

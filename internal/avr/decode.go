@@ -7,8 +7,8 @@ package avr
 // ROP chain on a randomized binary ends up detected by the MAVR master
 // processor.
 func Decode(w0, w1 uint16) Instr {
-	d5 := int((w0 >> 4) & 0x1F)
-	r5 := int(((w0 >> 5) & 0x10) | (w0 & 0x0F))
+	d5 := uint8((w0 >> 4) & 0x1F)
+	r5 := uint8(((w0 >> 5) & 0x10) | (w0 & 0x0F))
 
 	switch w0 & 0xF000 {
 	case 0x0000:
@@ -16,14 +16,14 @@ func Decode(w0, w1 uint16) Instr {
 		case w0 == 0x0000:
 			return Instr{Op: OpNOP, Words: 1}
 		case w0&0xFF00 == 0x0100:
-			return Instr{Op: OpMOVW, D: 2 * int((w0>>4)&0xF), R: 2 * int(w0&0xF), Words: 1}
+			return Instr{Op: OpMOVW, D: 2 * uint8((w0>>4)&0xF), R: 2 * uint8(w0&0xF), Words: 1}
 		case w0&0xFF00 == 0x0200:
-			return Instr{Op: OpMULS, D: 16 + int((w0>>4)&0xF), R: 16 + int(w0&0xF), Words: 1}
+			return Instr{Op: OpMULS, D: 16 + uint8((w0>>4)&0xF), R: 16 + uint8(w0&0xF), Words: 1}
 		case w0&0xFF88 == 0x0300:
-			return Instr{Op: OpMULSU, D: 16 + int((w0>>4)&0x7), R: 16 + int(w0&0x7), Words: 1}
+			return Instr{Op: OpMULSU, D: 16 + uint8((w0>>4)&0x7), R: 16 + uint8(w0&0x7), Words: 1}
 		case w0&0xFF00 == 0x0300:
 			// fmul/fmuls/fmulsu share the 0x0300 block.
-			return Instr{Op: OpFMUL, D: 16 + int((w0>>4)&0x7), R: 16 + int(w0&0x7), Words: 1}
+			return Instr{Op: OpFMUL, D: 16 + uint8((w0>>4)&0x7), R: 16 + uint8(w0&0x7), Words: 1}
 		case w0&0xFC00 == 0x0400:
 			return Instr{Op: OpCPC, D: d5, R: r5, Words: 1}
 		case w0&0xFC00 == 0x0800:
@@ -68,15 +68,15 @@ func Decode(w0, w1 uint16) Instr {
 	case 0x9000:
 		return decode9xxx(w0, w1)
 	case 0xB000:
-		a := int(((w0 >> 5) & 0x30) | (w0 & 0x0F))
+		a := uint8(((w0 >> 5) & 0x30) | (w0 & 0x0F))
 		if w0&0x0800 == 0 {
 			return Instr{Op: OpIN, D: d5, A: a, Words: 1}
 		}
 		return Instr{Op: OpOUT, D: d5, A: a, Words: 1}
 	case 0xC000:
-		return Instr{Op: OpRJMP, K: signExtend(int(w0&0x0FFF), 12), Words: 1}
+		return Instr{Op: OpRJMP, K: signExtend(w0&0x0FFF, 12), Words: 1}
 	case 0xD000:
-		return Instr{Op: OpRCALL, K: signExtend(int(w0&0x0FFF), 12), Words: 1}
+		return Instr{Op: OpRCALL, K: signExtend(w0&0x0FFF, 12), Words: 1}
 	case 0xE000:
 		return immInstr(OpLDI, w0)
 	default: // 0xF000
@@ -119,15 +119,15 @@ func wordAt(flash []byte, pc uint32) uint16 {
 func immInstr(op Op, w0 uint16) Instr {
 	return Instr{
 		Op:    op,
-		D:     16 + int((w0>>4)&0xF),
-		K:     int(((w0 >> 4) & 0xF0) | (w0 & 0xF)),
+		D:     16 + uint8((w0>>4)&0xF),
+		K:     int16(((w0 >> 4) & 0xF0) | (w0 & 0xF)),
 		Words: 1,
 	}
 }
 
 func decodeLDDSTD(w0 uint16) Instr {
-	q := int(((w0>>13)&1)<<5 | ((w0>>10)&3)<<3 | (w0 & 7))
-	d := int((w0 >> 4) & 0x1F)
+	q := uint8(((w0>>13)&1)<<5 | ((w0>>10)&3)<<3 | (w0 & 7))
+	d := uint8((w0 >> 4) & 0x1F)
 	store := w0&0x0200 != 0
 	useY := w0&0x0008 != 0
 	op := OpLDDZ
@@ -158,7 +158,7 @@ var ldstModes = [16]struct{ load, st Op }{
 }
 
 func decode9xxx(w0, w1 uint16) Instr {
-	d := int((w0 >> 4) & 0x1F)
+	d := uint8((w0 >> 4) & 0x1F)
 	switch {
 	case w0&0xFE00 == 0x9000 || w0&0xFE00 == 0x9200:
 		store := w0&0x0200 != 0
@@ -237,19 +237,19 @@ func decode9xxx(w0, w1 uint16) Instr {
 		return Instr{Op: OpInvalid, Words: 1}
 
 	case w0&0xFF00 == 0x9600:
-		return Instr{Op: OpADIW, D: 24 + 2*int((w0>>4)&3), K: int(((w0>>6)&3)<<4 | (w0 & 0xF)), Words: 1}
+		return Instr{Op: OpADIW, D: 24 + 2*uint8((w0>>4)&3), K: int16(((w0>>6)&3)<<4 | (w0 & 0xF)), Words: 1}
 	case w0&0xFF00 == 0x9700:
-		return Instr{Op: OpSBIW, D: 24 + 2*int((w0>>4)&3), K: int(((w0>>6)&3)<<4 | (w0 & 0xF)), Words: 1}
+		return Instr{Op: OpSBIW, D: 24 + 2*uint8((w0>>4)&3), K: int16(((w0>>6)&3)<<4 | (w0 & 0xF)), Words: 1}
 	case w0&0xFF00 == 0x9800:
-		return Instr{Op: OpCBI, A: int((w0 >> 3) & 0x1F), B: int(w0 & 7), Words: 1}
+		return Instr{Op: OpCBI, A: uint8((w0 >> 3) & 0x1F), B: uint8(w0 & 7), Words: 1}
 	case w0&0xFF00 == 0x9900:
-		return Instr{Op: OpSBIC, A: int((w0 >> 3) & 0x1F), B: int(w0 & 7), Words: 1}
+		return Instr{Op: OpSBIC, A: uint8((w0 >> 3) & 0x1F), B: uint8(w0 & 7), Words: 1}
 	case w0&0xFF00 == 0x9A00:
-		return Instr{Op: OpSBI, A: int((w0 >> 3) & 0x1F), B: int(w0 & 7), Words: 1}
+		return Instr{Op: OpSBI, A: uint8((w0 >> 3) & 0x1F), B: uint8(w0 & 7), Words: 1}
 	case w0&0xFF00 == 0x9B00:
-		return Instr{Op: OpSBIS, A: int((w0 >> 3) & 0x1F), B: int(w0 & 7), Words: 1}
+		return Instr{Op: OpSBIS, A: uint8((w0 >> 3) & 0x1F), B: uint8(w0 & 7), Words: 1}
 	case w0&0xFC00 == 0x9C00:
-		return Instr{Op: OpMUL, D: d, R: int(((w0 >> 5) & 0x10) | (w0 & 0xF)), Words: 1}
+		return Instr{Op: OpMUL, D: d, R: uint8(((w0 >> 5) & 0x10) | (w0 & 0xF)), Words: 1}
 	}
 	return Instr{Op: OpInvalid, Words: 1}
 }
@@ -274,10 +274,10 @@ func decodeMisc8(w0 uint16) Instr {
 		return Instr{Op: OpSPM, Words: 1}
 	}
 	if w0&0xFF8F == 0x9408 {
-		return Instr{Op: OpBSET, D: int((w0 >> 4) & 7), Words: 1}
+		return Instr{Op: OpBSET, D: uint8((w0 >> 4) & 7), Words: 1}
 	}
 	if w0&0xFF8F == 0x9488 {
-		return Instr{Op: OpBCLR, D: int((w0 >> 4) & 7), Words: 1}
+		return Instr{Op: OpBCLR, D: uint8((w0 >> 4) & 7), Words: 1}
 	}
 	return Instr{Op: OpInvalid, Words: 1}
 }
@@ -285,15 +285,15 @@ func decodeMisc8(w0 uint16) Instr {
 func decodeFxxx(w0 uint16) Instr {
 	switch w0 & 0xFC00 {
 	case 0xF000:
-		return Instr{Op: OpBRBS, D: int(w0 & 7), K: signExtend(int((w0>>3)&0x7F), 7), Words: 1}
+		return Instr{Op: OpBRBS, D: uint8(w0 & 7), K: signExtend((w0>>3)&0x7F, 7), Words: 1}
 	case 0xF400:
-		return Instr{Op: OpBRBC, D: int(w0 & 7), K: signExtend(int((w0>>3)&0x7F), 7), Words: 1}
+		return Instr{Op: OpBRBC, D: uint8(w0 & 7), K: signExtend((w0>>3)&0x7F, 7), Words: 1}
 	}
 	if w0&0x0008 != 0 {
 		return Instr{Op: OpInvalid, Words: 1}
 	}
-	d := int((w0 >> 4) & 0x1F)
-	b := int(w0 & 7)
+	d := uint8((w0 >> 4) & 0x1F)
+	b := uint8(w0 & 7)
 	switch w0 & 0xFE00 {
 	case 0xF800:
 		return Instr{Op: OpBLD, D: d, B: b, Words: 1}
@@ -312,9 +312,9 @@ func longTarget(w0, w1 uint16) uint32 {
 	return hi<<16 | uint32(w1)
 }
 
-func signExtend(v, bits int) int {
+func signExtend(v uint16, bits uint) int16 {
 	if v&(1<<(bits-1)) != 0 {
-		return v - (1 << bits)
+		return int16(v) - 1<<bits
 	}
-	return v
+	return int16(v)
 }

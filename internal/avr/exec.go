@@ -29,6 +29,7 @@ func baseCycles(op Op) uint64 {
 
 func (c *CPU) exec(in Instr) {
 	next := c.PC + uint32(in.Words)
+	d, r := int(in.D), int(in.R)
 	c.Cycles += baseCycles(in.Op)
 
 	switch in.Op {
@@ -50,93 +51,93 @@ func (c *CPU) exec(in Instr) {
 		return
 
 	case OpMOVW:
-		c.SetRegPair(in.D, c.RegPair(in.R))
+		c.SetRegPair(d, c.RegPair(r))
 
 	case OpADD:
-		c.SetReg(in.D, c.addFlags(c.Reg(in.D), c.Reg(in.R), false))
+		c.SetReg(d, c.addFlags(c.Reg(d), c.Reg(r), false))
 	case OpADC:
-		c.SetReg(in.D, c.addFlags(c.Reg(in.D), c.Reg(in.R), c.Flag(FlagC)))
+		c.SetReg(d, c.addFlags(c.Reg(d), c.Reg(r), c.Flag(FlagC)))
 	case OpSUB:
-		c.SetReg(in.D, c.subFlags(c.Reg(in.D), c.Reg(in.R), false, false))
+		c.SetReg(d, c.subFlags(c.Reg(d), c.Reg(r), false, false))
 	case OpSBC:
-		c.SetReg(in.D, c.subFlags(c.Reg(in.D), c.Reg(in.R), c.Flag(FlagC), true))
+		c.SetReg(d, c.subFlags(c.Reg(d), c.Reg(r), c.Flag(FlagC), true))
 	case OpSUBI:
-		c.SetReg(in.D, c.subFlags(c.Reg(in.D), byte(in.K), false, false))
+		c.SetReg(d, c.subFlags(c.Reg(d), byte(in.K), false, false))
 	case OpSBCI:
-		c.SetReg(in.D, c.subFlags(c.Reg(in.D), byte(in.K), c.Flag(FlagC), true))
+		c.SetReg(d, c.subFlags(c.Reg(d), byte(in.K), c.Flag(FlagC), true))
 	case OpCP:
-		c.subFlags(c.Reg(in.D), c.Reg(in.R), false, false)
+		c.subFlags(c.Reg(d), c.Reg(r), false, false)
 	case OpCPC:
-		c.subFlags(c.Reg(in.D), c.Reg(in.R), c.Flag(FlagC), true)
+		c.subFlags(c.Reg(d), c.Reg(r), c.Flag(FlagC), true)
 	case OpCPI:
-		c.subFlags(c.Reg(in.D), byte(in.K), false, false)
+		c.subFlags(c.Reg(d), byte(in.K), false, false)
 
 	case OpAND:
-		c.SetReg(in.D, c.logicFlags(c.Reg(in.D)&c.Reg(in.R)))
+		c.SetReg(d, c.logicFlags(c.Reg(d)&c.Reg(r)))
 	case OpANDI:
-		c.SetReg(in.D, c.logicFlags(c.Reg(in.D)&byte(in.K)))
+		c.SetReg(d, c.logicFlags(c.Reg(d)&byte(in.K)))
 	case OpOR:
-		c.SetReg(in.D, c.logicFlags(c.Reg(in.D)|c.Reg(in.R)))
+		c.SetReg(d, c.logicFlags(c.Reg(d)|c.Reg(r)))
 	case OpORI:
-		c.SetReg(in.D, c.logicFlags(c.Reg(in.D)|byte(in.K)))
+		c.SetReg(d, c.logicFlags(c.Reg(d)|byte(in.K)))
 	case OpEOR:
-		c.SetReg(in.D, c.logicFlags(c.Reg(in.D)^c.Reg(in.R)))
+		c.SetReg(d, c.logicFlags(c.Reg(d)^c.Reg(r)))
 	case OpMOV:
-		c.SetReg(in.D, c.Reg(in.R))
+		c.SetReg(d, c.Reg(r))
 	case OpLDI:
-		c.SetReg(in.D, byte(in.K))
+		c.SetReg(d, byte(in.K))
 
 	case OpCOM:
-		v := ^c.Reg(in.D)
+		v := ^c.Reg(d)
 		c.logicFlags(v)
 		c.SetFlag(FlagC, true)
-		c.SetReg(in.D, v)
+		c.SetReg(d, v)
 	case OpNEG:
-		c.SetReg(in.D, c.subFlags(0, c.Reg(in.D), false, false))
+		c.SetReg(d, c.subFlags(0, c.Reg(d), false, false))
 	case OpSWAP:
-		v := c.Reg(in.D)
-		c.SetReg(in.D, v<<4|v>>4)
+		v := c.Reg(d)
+		c.SetReg(d, v<<4|v>>4)
 	case OpINC:
-		v := c.Reg(in.D) + 1
+		v := c.Reg(d) + 1
 		c.SetFlag(FlagV, v == 0x80)
 		c.nzs(v)
-		c.SetReg(in.D, v)
+		c.SetReg(d, v)
 	case OpDEC:
-		v := c.Reg(in.D) - 1
+		v := c.Reg(d) - 1
 		c.SetFlag(FlagV, v == 0x7F)
 		c.nzs(v)
-		c.SetReg(in.D, v)
+		c.SetReg(d, v)
 	case OpASR:
-		v := c.Reg(in.D)
+		v := c.Reg(d)
 		res := v>>1 | v&0x80
 		c.shiftFlags(res, v&1 != 0)
-		c.SetReg(in.D, res)
+		c.SetReg(d, res)
 	case OpLSR:
-		v := c.Reg(in.D)
+		v := c.Reg(d)
 		res := v >> 1
 		c.shiftFlags(res, v&1 != 0)
-		c.SetReg(in.D, res)
+		c.SetReg(d, res)
 	case OpROR:
-		v := c.Reg(in.D)
+		v := c.Reg(d)
 		res := v >> 1
 		if c.Flag(FlagC) {
 			res |= 0x80
 		}
 		c.shiftFlags(res, v&1 != 0)
-		c.SetReg(in.D, res)
+		c.SetReg(d, res)
 
 	case OpMUL:
-		r := uint16(c.Reg(in.D)) * uint16(c.Reg(in.R))
+		r := uint16(c.Reg(d)) * uint16(c.Reg(r))
 		c.SetRegPair(0, r)
 		c.SetFlag(FlagC, r&0x8000 != 0)
 		c.SetFlag(FlagZ, r == 0)
 	case OpMULS:
-		r := int16(int8(c.Reg(in.D))) * int16(int8(c.Reg(in.R)))
+		r := int16(int8(c.Reg(d))) * int16(int8(c.Reg(r)))
 		c.SetRegPair(0, uint16(r))
 		c.SetFlag(FlagC, uint16(r)&0x8000 != 0)
 		c.SetFlag(FlagZ, r == 0)
 	case OpMULSU, OpFMUL:
-		r := int16(int8(c.Reg(in.D))) * int16(c.Reg(in.R))
+		r := int16(int8(c.Reg(d))) * int16(c.Reg(r))
 		if in.Op == OpFMUL {
 			r <<= 1
 		}
@@ -145,18 +146,18 @@ func (c *CPU) exec(in Instr) {
 		c.SetFlag(FlagZ, r == 0)
 
 	case OpADIW:
-		v := c.RegPair(in.D)
+		v := c.RegPair(d)
 		res := v + uint16(in.K)
-		c.SetRegPair(in.D, res)
+		c.SetRegPair(d, res)
 		c.SetFlag(FlagC, res < v)
 		c.SetFlag(FlagZ, res == 0)
 		c.SetFlag(FlagN, res&0x8000 != 0)
 		c.SetFlag(FlagV, v&0x8000 == 0 && res&0x8000 != 0)
 		c.SetFlag(FlagS, c.Flag(FlagN) != c.Flag(FlagV))
 	case OpSBIW:
-		v := c.RegPair(in.D)
+		v := c.RegPair(d)
 		res := v - uint16(in.K)
-		c.SetRegPair(in.D, res)
+		c.SetRegPair(d, res)
 		c.SetFlag(FlagC, res > v)
 		c.SetFlag(FlagZ, res == 0)
 		c.SetFlag(FlagN, res&0x8000 != 0)
@@ -164,38 +165,38 @@ func (c *CPU) exec(in Instr) {
 		c.SetFlag(FlagS, c.Flag(FlagN) != c.Flag(FlagV))
 
 	case OpBSET:
-		if in.D == FlagI && !c.Flag(FlagI) {
+		if d == FlagI && !c.Flag(FlagI) {
 			c.intSuppress = true // sei delay
 		}
-		c.SetFlag(in.D, true)
+		c.SetFlag(d, true)
 	case OpBCLR:
-		c.SetFlag(in.D, false)
+		c.SetFlag(d, false)
 	case OpBLD:
-		v := c.Reg(in.D)
+		v := c.Reg(d)
 		if c.Flag(FlagT) {
 			v |= 1 << in.B
 		} else {
 			v &^= 1 << in.B
 		}
-		c.SetReg(in.D, v)
+		c.SetReg(d, v)
 	case OpBST:
-		c.SetFlag(FlagT, c.Reg(in.D)&(1<<in.B) != 0)
+		c.SetFlag(FlagT, c.Reg(d)&(1<<in.B) != 0)
 
 	case OpIN:
-		c.SetReg(in.D, c.ReadData(uint16(IOBase+in.A)))
+		c.SetReg(d, c.ReadData(uint16(IOBase+uint16(in.A))))
 	case OpOUT:
-		c.WriteData(uint16(IOBase+in.A), c.Reg(in.D))
+		c.WriteData(uint16(IOBase+uint16(in.A)), c.Reg(d))
 	case OpCBI:
-		a := uint16(IOBase + in.A)
+		a := uint16(IOBase + uint16(in.A))
 		c.WriteData(a, c.ReadData(a)&^(1<<in.B))
 	case OpSBI:
-		a := uint16(IOBase + in.A)
+		a := uint16(IOBase + uint16(in.A))
 		c.WriteData(a, c.ReadData(a)|1<<in.B)
 
 	case OpLDS:
-		c.SetReg(in.D, c.ReadData(uint16(in.Target)))
+		c.SetReg(d, c.ReadData(uint16(in.Target)))
 	case OpSTS:
-		c.WriteData(uint16(in.Target), c.Reg(in.D))
+		c.WriteData(uint16(in.Target), c.Reg(d))
 
 	case OpLDX, OpLDXInc, OpLDXDec, OpSTX, OpSTXInc, OpSTXDec:
 		c.execIndirect(in, RegXL)
@@ -204,37 +205,37 @@ func (c *CPU) exec(in Instr) {
 	case OpLDZInc, OpLDZDec, OpSTZInc, OpSTZDec:
 		c.execIndirect(in, RegZL)
 	case OpLDDY:
-		c.SetReg(in.D, c.ReadData(c.RegPair(RegYL)+uint16(in.Q)))
+		c.SetReg(d, c.ReadData(c.RegPair(RegYL)+uint16(in.Q)))
 	case OpLDDZ:
-		c.SetReg(in.D, c.ReadData(c.RegPair(RegZL)+uint16(in.Q)))
+		c.SetReg(d, c.ReadData(c.RegPair(RegZL)+uint16(in.Q)))
 	case OpSTDY:
-		c.WriteData(c.RegPair(RegYL)+uint16(in.Q), c.Reg(in.D))
+		c.WriteData(c.RegPair(RegYL)+uint16(in.Q), c.Reg(d))
 	case OpSTDZ:
-		c.WriteData(c.RegPair(RegZL)+uint16(in.Q), c.Reg(in.D))
+		c.WriteData(c.RegPair(RegZL)+uint16(in.Q), c.Reg(d))
 
 	case OpLPM:
 		c.SetReg(0, c.lpmByte(uint32(c.RegPair(RegZL))))
 	case OpLPMZ:
-		c.SetReg(in.D, c.lpmByte(uint32(c.RegPair(RegZL))))
+		c.SetReg(d, c.lpmByte(uint32(c.RegPair(RegZL))))
 	case OpLPMZInc:
 		z := c.RegPair(RegZL)
-		c.SetReg(in.D, c.lpmByte(uint32(z)))
+		c.SetReg(d, c.lpmByte(uint32(z)))
 		c.SetRegPair(RegZL, z+1)
 	case OpELPM:
 		c.SetReg(0, c.lpmByte(c.extZ()))
 	case OpELPMZ:
-		c.SetReg(in.D, c.lpmByte(c.extZ()))
+		c.SetReg(d, c.lpmByte(c.extZ()))
 	case OpELPMZInc:
 		z := c.extZ()
-		c.SetReg(in.D, c.lpmByte(z))
+		c.SetReg(d, c.lpmByte(z))
 		z++
 		c.SetRegPair(RegZL, uint16(z))
 		c.Data[IOBase+IOAddrRAMPZ] = byte(z >> 16)
 
 	case OpPUSH:
-		c.PushByte(c.Reg(in.D))
+		c.PushByte(c.Reg(d))
 	case OpPOP:
-		c.SetReg(in.D, c.PopByte())
+		c.SetReg(d, c.PopByte())
 
 	case OpRJMP:
 		c.setPC(uint32(int64(next) + int64(in.K)))
@@ -274,36 +275,36 @@ func (c *CPU) exec(in Instr) {
 		return
 
 	case OpBRBS:
-		if c.Flag(in.D) {
+		if c.Flag(d) {
 			c.Cycles++
 			c.setPC(uint32(int64(next) + int64(in.K)))
 			return
 		}
 	case OpBRBC:
-		if !c.Flag(in.D) {
+		if !c.Flag(d) {
 			c.Cycles++
 			c.setPC(uint32(int64(next) + int64(in.K)))
 			return
 		}
 
 	case OpCPSE:
-		if c.Reg(in.D) == c.Reg(in.R) {
+		if c.Reg(d) == c.Reg(r) {
 			next = c.skipNext(next)
 		}
 	case OpSBRC:
-		if c.Reg(in.D)&(1<<in.B) == 0 {
+		if c.Reg(d)&(1<<in.B) == 0 {
 			next = c.skipNext(next)
 		}
 	case OpSBRS:
-		if c.Reg(in.D)&(1<<in.B) != 0 {
+		if c.Reg(d)&(1<<in.B) != 0 {
 			next = c.skipNext(next)
 		}
 	case OpSBIC:
-		if c.ReadData(uint16(IOBase+in.A))&(1<<in.B) == 0 {
+		if c.ReadData(uint16(IOBase+uint16(in.A)))&(1<<in.B) == 0 {
 			next = c.skipNext(next)
 		}
 	case OpSBIS:
-		if c.ReadData(uint16(IOBase+in.A))&(1<<in.B) != 0 {
+		if c.ReadData(uint16(IOBase+uint16(in.A)))&(1<<in.B) != 0 {
 			next = c.skipNext(next)
 		}
 	}
@@ -336,9 +337,9 @@ func (c *CPU) execIndirect(in Instr, lo int) {
 	}
 	switch in.Op {
 	case OpLDX, OpLDXInc, OpLDXDec, OpLDYInc, OpLDYDec, OpLDZInc, OpLDZDec:
-		c.SetReg(in.D, c.ReadData(p))
+		c.SetReg(int(in.D), c.ReadData(p))
 	default:
-		c.WriteData(p, c.Reg(in.D))
+		c.WriteData(p, c.Reg(int(in.D)))
 	}
 	switch in.Op {
 	case OpLDXInc, OpLDYInc, OpLDZInc, OpSTXInc, OpSTYInc, OpSTZInc:

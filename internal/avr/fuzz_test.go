@@ -13,7 +13,8 @@ import (
 // Decode never panics, InstrWords always agrees with Decode on the
 // instruction length, and the CPU's predecoded cache returns exactly
 // what uncached decoding returns — before and after a flash rewrite
-// with invalidation, the scenario MAVR's re-randomization produces.
+// with invalidation, the scenario MAVR's re-randomization produces, and
+// after a one-word rewrite at the first word of a decode page.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0C, 0x94, 0x34, 0x12}) // jmp
@@ -23,6 +24,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // erased flash
 	f.Add([]byte{0x0C, 0x94})             // two-word instr cut short
 	f.Add(make([]byte, 512))              // a page of nops
+	f.Add(straddleImage())                // lds straddling the page 0/1 boundary
 
 	cpu := New()
 	f.Fuzz(func(t *testing.T, image []byte) {
@@ -35,7 +37,7 @@ func FuzzDecode(f *testing.F) {
 		words := uint32((len(image) + 1) / 2)
 		for pc := uint32(0); pc <= words && pc+1 < FlashWords; pc++ {
 			plain := Decode(wordAt(cpu.Flash, pc), wordAt(cpu.Flash, pc+1))
-			if got := InstrWords(wordAt(cpu.Flash, pc)); got != plain.Words {
+			if got := InstrWords(wordAt(cpu.Flash, pc)); got != int(plain.Words) {
 				t.Fatalf("pc %d: InstrWords = %d, Decode.Words = %d", pc, got, plain.Words)
 			}
 			if streamed := DecodeAt(cpu.Flash, pc); streamed != plain {
@@ -62,7 +64,35 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("pc %d after rewrite: cached = %+v, uncached = %+v", pc, cached, plain)
 			}
 		}
+
+		// Rewrite only the first word of page 1 and invalidate just that
+		// word: the last word of page 0, which may start a two-word
+		// instruction whose operand this is, must be re-decoded too.
+		if len(image) >= SPMPageSize+2 {
+			cpu.Flash[SPMPageSize] ^= 0x5A
+			cpu.Flash[SPMPageSize+1] ^= 0x5A
+			cpu.InvalidateFlash(SPMPageSize, 2)
+			for pc := uint32(0); pc <= words && pc+1 < FlashWords; pc++ {
+				plain := Decode(wordAt(cpu.Flash, pc), wordAt(cpu.Flash, pc+1))
+				if cached := cpu.fetch(pc); cached != plain {
+					t.Fatalf("pc %d after page-boundary rewrite: cached = %+v, uncached = %+v", pc, cached, plain)
+				}
+			}
+		}
 	})
+}
+
+// straddleImage is a run of nops from word 0, then "lds r16, 0x0100"
+// with its opcode as the last word of flash page 0 and its operand as
+// the first word of page 1, then "rjmp" back to word 0.
+func straddleImage() []byte {
+	img := make([]byte, SPMPageSize+6)
+	copy(img[SPMPageSize-2:], []byte{
+		0x00, 0x91, // lds r16, ...  (word 127)
+		0x00, 0x01, // ... 0x0100    (word 128)
+		0x7E, 0xCF, // rjmp .-260    (word 129, back to word 0)
+	})
+	return img
 }
 
 // FuzzBlockExec is the differential conformance harness for the block
@@ -73,8 +103,9 @@ func FuzzDecode(f *testing.F) {
 // must match after every Run slice. Rounds repeat the image so entry
 // PCs cross the heat threshold and later rounds execute translated
 // blocks; the plan byte toggles interrupts between slices, an I/O
-// write hook that raises an interrupt mid-block, and a mid-corpus
-// flash rewrite with invalidation.
+// write hook that raises an interrupt mid-block, a mid-corpus flash
+// rewrite with invalidation, and a mid-corpus one-word rewrite at the
+// first word of page 1.
 func FuzzBlockExec(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00}, []byte{1, 2, 3}, byte(0))
 	// ldi r16,0x42 ; ldi r17,1 ; add r16,r17 ; rjmp .-8
@@ -86,6 +117,9 @@ func FuzzBlockExec(f *testing.F) {
 	// cp/cpc chain into brbs (flag liveness across a branch)
 	f.Add([]byte{0x01, 0x17, 0x12, 0x07, 0x11, 0xF0, 0xFC, 0xCF}, []byte{9, 9, 1}, byte(5))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, []byte{}, byte(8))
+	// lds straddling the page 0/1 boundary, its operand word rewritten
+	// alone mid-corpus
+	f.Add(straddleImage(), []byte{}, byte(16))
 
 	f.Fuzz(func(t *testing.T, image, regs []byte, plan byte) {
 		if len(image) == 0 {
@@ -144,6 +178,16 @@ func FuzzBlockExec(f *testing.F) {
 						c.Flash[i] ^= 0xA5
 					}
 					c.InvalidateFlash(0, uint32(n))
+				}
+			}
+			if plan&16 != 0 && round == 3 && len(image) >= SPMPageSize+2 {
+				// Rewrite only the first word of page 1: a translation
+				// ending in a two-word instruction straddling the page
+				// boundary must retranslate too.
+				for _, c := range []*CPU{ref, blk} {
+					c.Flash[SPMPageSize] ^= 0xA5
+					c.Flash[SPMPageSize+1] ^= 0xA5
+					c.InvalidateFlash(SPMPageSize, 2)
 				}
 			}
 			for s, budget := range budgets {

@@ -1,7 +1,7 @@
 package avr
 
 // Op identifies a decoded AVR instruction mnemonic.
-type Op int
+type Op uint8
 
 // Supported opcodes. The set covers the AVRe+ core instructions emitted
 // by avr-gcc for the ATmega2560 plus everything the MAVR paper's gadgets
@@ -132,28 +132,30 @@ func (o Op) String() string {
 	return "(unknown)"
 }
 
-// Instr is a decoded AVR instruction.
+// Instr is a decoded AVR instruction. It packs into 16 bytes so the
+// per-page decode tables (cache.go) stay small: every operand fits its
+// field (registers ≤ 31, I/O addresses ≤ 63, displacements ≤ 12 bits).
 type Instr struct {
 	Op Op
 	// D is the destination register index (or the sole register operand,
 	// or the status-flag index for bset/bclr/brbs/brbc).
-	D int
+	D uint8
 	// R is the source register index.
-	R int
+	R uint8
+	// A is an I/O-space address for in/out/cbi/sbi/sbic/sbis.
+	A uint8
+	// Q is the displacement for ldd/std.
+	Q uint8
+	// B is the bit index for bld/bst/sbrc/sbrs/cbi/sbi/sbic/sbis.
+	B uint8
+	// Words is the instruction length in 16-bit words (1 or 2).
+	Words uint8
 	// K is an immediate constant: 8-bit for ldi/cpi/..., 6-bit for
 	// adiw/sbiw, or a signed word displacement for rjmp/rcall/brbs/brbc.
-	K int
-	// A is an I/O-space address for in/out/cbi/sbi/sbic/sbis.
-	A int
-	// Q is the displacement for ldd/std.
-	Q int
-	// B is the bit index for bld/bst/sbrc/sbrs/cbi/sbi/sbic/sbis.
-	B int
+	K int16
 	// Target is the absolute word address for jmp/call and the 16-bit
 	// data-space address for lds/sts.
 	Target uint32
-	// Words is the instruction length in 16-bit words (1 or 2).
-	Words int
 }
 
 // Size returns the instruction length in bytes.

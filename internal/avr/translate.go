@@ -134,33 +134,36 @@ func noopStep(*CPU) {}
 // translate builds the basic block entered at word address entry, or
 // returns nil when the entry instruction cannot be translated.
 // Decoding goes through the predecode cache, so the two layers always
-// agree on instruction boundaries.
+// agree on instruction boundaries. Its working storage is sized for
+// the longest block and stays on the stack, so a translation allocates
+// only the block it returns.
 func (c *CPU) translate(entry uint32) *block {
 	type decoded struct {
 		in Instr
 		pc uint32
 	}
-	var body []decoded
-	var term *decoded
+	var bodyBuf [maxBlockInstrs]decoded
+	body := bodyBuf[:0]
+	var term decoded
+	hasTerm := false
 	pc := entry
 	for pc < FlashWords {
 		in := c.fetch(pc)
-		d := decoded{in: in, pc: pc}
 		if isBlockTerminator(in) {
-			term = &d
+			term, hasTerm = decoded{in: in, pc: pc}, true
 			pc += uint32(in.Words)
 			break
 		}
 		if !isTranslatableBody(in.Op) {
 			break // cut the block; the interpreter executes this op
 		}
-		body = append(body, d)
+		body = append(body, decoded{in: in, pc: pc})
 		pc += uint32(in.Words)
 		if len(body) >= maxBlockInstrs {
 			break
 		}
 	}
-	if len(body) == 0 && term == nil {
+	if len(body) == 0 && !hasTerm {
 		return nil // untranslatable entry: poison so Run keeps interpreting
 	}
 	end := pc // word address after the block (fallthrough target)
@@ -184,7 +187,7 @@ func (c *CPU) translate(entry uint32) *block {
 	// Backwards flag-liveness scan over the body: deadFlags[i] is true
 	// when instruction i's SREG writes are all overwritten before any
 	// read, with no possible block exit in between.
-	deadFlags := make([]bool, len(body))
+	var deadFlags [maxBlockInstrs]bool
 	live := uint8(mAll)
 	for i := len(body) - 1; i >= 0; i-- {
 		read, written, ok := flagEffects(body[i].in)
@@ -201,7 +204,8 @@ func (c *CPU) translate(entry uint32) *block {
 	// Emit steps forward, accumulating straight-line cycles.
 	var cycles uint64
 	pure := true
-	steps := make([]blockStep, 0, len(body)+1)
+	var stepBuf [maxBlockInstrs + 1]blockStep
+	steps := stepBuf[:0]
 	prevImpure := false // does the previous instruction need a check after it?
 	for i, d := range body {
 		fn, impure := c.genBody(d.in, d.pc, deadFlags[i], b, cycles)
@@ -219,21 +223,21 @@ func (c *CPU) translate(entry uint32) *block {
 			}
 			fn = noopStep
 		}
-		steps = append(steps, blockStep{fn: fn, pc: d.pc, fixup: cycles, check: check})
+		steps = append(steps, blockStep{fn: fn, pc: d.pc, fixup: uint32(cycles), check: check})
 		cycles += baseCycles(d.in.Op)
 	}
 	b.body = cycles
 
 	var termStep blockStep
-	if term != nil {
-		termStep = blockStep{fn: c.genTerm(term.in, term.pc), pc: term.pc, fixup: cycles, check: prevImpure}
+	if hasTerm {
+		termStep = blockStep{fn: c.genTerm(term.in, term.pc), pc: term.pc, fixup: uint32(cycles), check: prevImpure}
 		b.cycles = cycles + termWorstCycles(term.in)
 	} else {
 		// Synthetic fallthrough: the block was cut by the length cap, an
 		// untranslatable op, or the flash boundary. setPC performs the
 		// same out-of-range check the interpreter would reach next.
 		target := end
-		termStep = blockStep{fn: func(c *CPU) { c.setPC(target) }, pc: end, fixup: cycles, check: prevImpure}
+		termStep = blockStep{fn: func(c *CPU) { c.setPC(target) }, pc: end, fixup: uint32(cycles), check: prevImpure}
 		b.cycles = cycles + 1 // keep the entry gate strictly progressing
 	}
 	steps = append(steps, termStep)
@@ -241,7 +245,7 @@ func (c *CPU) translate(entry uint32) *block {
 	// fixup currently holds cycles-before-step; convert to the rewind
 	// delta (body sum minus cycles-before).
 	for i := range steps {
-		steps[i].fixup = b.body - steps[i].fixup
+		steps[i].fixup = uint32(b.body) - steps[i].fixup
 	}
 
 	if pure {
@@ -251,7 +255,7 @@ func (c *CPU) translate(entry uint32) *block {
 		}
 		b.fns = fns
 	} else {
-		b.steps = steps
+		b.steps = append([]blockStep(nil), steps...)
 	}
 	return b
 }
@@ -265,7 +269,7 @@ func (c *CPU) translate(entry uint32) *block {
 // the straight-line cycles before this instruction) let faulting
 // closures reconstruct the unbatched cycle count for fault records.
 func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn func(*CPU), impure bool) {
-	d, r := in.D, in.R
+	d, r := int(in.D), int(in.R)
 	k := byte(in.K)
 	switch in.Op {
 	case OpNOP, OpWDR:
@@ -534,17 +538,17 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 		return func(c *CPU) { c.SetFlag(FlagT, c.Data[d]&bit != 0) }, false
 
 	case OpIN:
-		a := uint16(IOBase + in.A)
+		a := IOBase + uint16(in.A)
 		return func(c *CPU) { c.Data[d] = c.ReadData(a) }, true
 	case OpOUT:
-		a := uint16(IOBase + in.A)
+		a := IOBase + uint16(in.A)
 		return func(c *CPU) { c.WriteData(a, c.Data[d]) }, true
 	case OpCBI:
-		a := uint16(IOBase + in.A)
+		a := IOBase + uint16(in.A)
 		bit := byte(1) << in.B
 		return func(c *CPU) { c.WriteData(a, c.ReadData(a)&^bit) }, true
 	case OpSBI:
-		a := uint16(IOBase + in.A)
+		a := IOBase + uint16(in.A)
 		bit := byte(1) << in.B
 		return func(c *CPU) { c.WriteData(a, c.ReadData(a)|bit) }, true
 
@@ -627,7 +631,7 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 // genIndirect mirrors execIndirect with the pointer pair and mode
 // resolved at translation time.
 func (c *CPU) genIndirect(in Instr, lo int) func(*CPU) {
-	d := in.D
+	d := int(in.D)
 	switch in.Op {
 	case OpLDX:
 		return func(c *CPU) { c.Data[d] = c.ReadData(c.RegPair(lo)) }
@@ -666,7 +670,7 @@ func (c *CPU) genIndirect(in Instr, lo int) func(*CPU) {
 // fault PC/opcode capture.
 func (c *CPU) genTerm(in Instr, pc uint32) func(*CPU) {
 	next := pc + uint32(in.Words)
-	d, r := in.D, in.R
+	d, r := int(in.D), int(in.R)
 	switch in.Op {
 	case OpRJMP:
 		target := uint32(int64(next) + int64(in.K))
@@ -788,7 +792,7 @@ func (c *CPU) genTerm(in Instr, pc uint32) func(*CPU) {
 			c.setPC(next)
 		}
 	case OpSBIC:
-		a := uint16(IOBase + in.A)
+		a := IOBase + uint16(in.A)
 		bit := byte(1) << in.B
 		return func(c *CPU) {
 			c.Cycles++
@@ -799,7 +803,7 @@ func (c *CPU) genTerm(in Instr, pc uint32) func(*CPU) {
 			c.setPC(next)
 		}
 	case OpSBIS:
-		a := uint16(IOBase + in.A)
+		a := IOBase + uint16(in.A)
 		bit := byte(1) << in.B
 		return func(c *CPU) {
 			c.Cycles++

@@ -62,7 +62,7 @@ type Gadget struct {
 func (g *Gadget) Words() int {
 	n := 0
 	for _, in := range g.Instrs {
-		n += in.Words
+		n += int(in.Words)
 	}
 	return n
 }
@@ -179,7 +179,7 @@ func longestSuffix(image []byte, ret uint32, maxWords int, win []avr.Instr, ok [
 	for i := maxBack - 1; i >= 0; i-- {
 		in := avr.DecodeAt(image, base+uint32(i))
 		win[i] = in
-		e := i + in.Words
+		e := i + int(in.Words)
 		ok[i] = straightLine(in.Op) && e <= maxBack && ok[e]
 		if ok[i] {
 			best = i
@@ -190,7 +190,7 @@ func longestSuffix(image []byte, ret uint32, maxWords int, win []avr.Instr, ok [
 		return &Gadget{Addr: ret, Instrs: []avr.Instr{{Op: avr.OpRET, Words: 1}}, Kind: KindOther}
 	}
 	seq := make([]avr.Instr, 0, maxBack-best+1)
-	for i := best; i < maxBack; i += win[i].Words {
+	for i := best; i < maxBack; i += int(win[i].Words) {
 		seq = append(seq, win[i])
 	}
 	seq = append(seq, avr.Instr{Op: avr.OpRET, Words: 1})
@@ -291,7 +291,7 @@ func FindStkMove(image []byte) (*StkMove, error) {
 		if in.Op != avr.OpOUT || in.A != avr.IOAddrSPH {
 			continue
 		}
-		g := &StkMove{Addr: uint32(w), SPHReg: in.D}
+		g := &StkMove{Addr: uint32(w), SPHReg: int(in.D)}
 		pc := uint32(w) + 1
 		// Allow an SREG restore between the SP writes (the avr-gcc
 		// interrupt-safe idiom) before the SPL write.
@@ -315,7 +315,7 @@ func FindStkMove(image []byte) (*StkMove, error) {
 		if avr.DecodeAt(image, end).Op != avr.OpRET {
 			continue
 		}
-		g.SPLReg = splIn.D
+		g.SPLReg = int(splIn.D)
 		g.PopRegs = pops
 		if best == nil || len(g.PopRegs) < len(best.PopRegs) {
 			best = g
@@ -353,7 +353,7 @@ func FindWriteMem(image []byte, minPops int) (*WriteMem, error) {
 		g := &WriteMem{
 			StoreAddr: uint32(w),
 			PopsAddr:  uint32(w) + 3,
-			StoreRegs: [3]int{in.D, in2.D, in3.D},
+			StoreRegs: [3]int{int(in.D), int(in2.D), int(in3.D)},
 			PopRegs:   pops,
 		}
 		// The pop chain must reload Y (r28/r29) and the stored regs so
@@ -395,7 +395,7 @@ func popRun(image []byte, pc uint32) (regs []int, end uint32) {
 		if in.Op != avr.OpPOP {
 			return regs, pc
 		}
-		regs = append(regs, in.D)
+		regs = append(regs, int(in.D))
 		pc++
 	}
 }

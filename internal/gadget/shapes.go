@@ -79,7 +79,7 @@ func PivotShapes(gs []*Gadget) []*StkMove {
 // pivotAt matches the pivot shape starting at instruction index i of g
 // (known to be out SPH), whose word address is w.
 func pivotAt(g *Gadget, i int, w uint32) *StkMove {
-	sm := &StkMove{Addr: w, SPHReg: g.Instrs[i].D}
+	sm := &StkMove{Addr: w, SPHReg: int(g.Instrs[i].D)}
 	j := i + 1
 	// Allow an SREG restore between the SP writes (the avr-gcc
 	// interrupt-safe idiom), as FindStkMove does.
@@ -89,12 +89,12 @@ func pivotAt(g *Gadget, i int, w uint32) *StkMove {
 	if j >= len(g.Instrs) || g.Instrs[j].Op != avr.OpOUT || g.Instrs[j].A != avr.IOAddrSPL {
 		return nil
 	}
-	sm.SPLReg = g.Instrs[j].D
+	sm.SPLReg = int(g.Instrs[j].D)
 	for j++; j < len(g.Instrs)-1; j++ {
 		if g.Instrs[j].Op != avr.OpPOP {
 			return nil
 		}
-		sm.PopRegs = append(sm.PopRegs, g.Instrs[j].D)
+		sm.PopRegs = append(sm.PopRegs, int(g.Instrs[j].D))
 	}
 	if len(sm.PopRegs) == 0 || g.Instrs[len(g.Instrs)-1].Op != avr.OpRET {
 		return nil
@@ -156,7 +156,7 @@ func storeRunAt(g *Gadget, i int, w uint32) *StoreRun {
 		if g.Instrs[k].Op != avr.OpPOP {
 			return nil
 		}
-		tail = append(tail, g.Instrs[k].D)
+		tail = append(tail, int(g.Instrs[k].D))
 	}
 	if g.Instrs[len(g.Instrs)-1].Op != avr.OpRET {
 		return nil
@@ -167,8 +167,8 @@ func storeRunAt(g *Gadget, i int, w uint32) *StoreRun {
 	sr := &StoreRun{
 		Addr:      w + uint32(first-i), // stds are one word each
 		TailAddr:  w + uint32(j+1-i),
-		QBase:     g.Instrs[first].Q,
-		StoreRegs: [3]int{g.Instrs[first].D, g.Instrs[first+1].D, g.Instrs[first+2].D},
+		QBase:     int(g.Instrs[first].Q),
+		StoreRegs: [3]int{int(g.Instrs[first].D), int(g.Instrs[first+1].D), int(g.Instrs[first+2].D)},
 		TailPops:  tail,
 	}
 	return sr
@@ -201,7 +201,7 @@ func PopChains(gs []*Gadget) []*PopChain {
 		}
 		pc := &PopChain{Addr: w}
 		for i := start; i < n-1; i++ {
-			pc.PopRegs = append(pc.PopRegs, g.Instrs[i].D)
+			pc.PopRegs = append(pc.PopRegs, int(g.Instrs[i].D))
 		}
 		if seen[pc.Addr] {
 			continue

@@ -278,7 +278,7 @@ func (b *Base) fastDiff(r *core.Randomized) (DiffStats, bool) {
 			bi := &reg.instrs[i]
 			oin := &bi.in
 			pc := bi.pc
-			st.WordsCompared += oin.Words
+			st.WordsCompared += int(oin.Words)
 
 			switch oin.Op {
 			case avr.OpJMP, avr.OpCALL:

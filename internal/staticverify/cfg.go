@@ -204,7 +204,7 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 	// around the flash boundary, which no assembler-emitted
 	// intra-image transfer does. Reported explicitly instead of letting
 	// the uint32 conversion silently alias a wrapped address.
-	relWrap := func(pc uint32, k int) {
+	relWrap := func(pc uint32, k int16) {
 		findings = append(findings, Finding{
 			Kind: KindDanglingEdge, Severity: SevError, Addr: pc * 2, Block: b.Name,
 			Detail: fmt.Sprintf("relative transfer offset %+d words wraps around the flash boundary", k),
@@ -220,11 +220,9 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 			leaderList = append(leaderList, w)
 		}
 	}
-	type decoded struct {
-		in   avr.Instr
-		next uint32 // word address after the instruction
-	}
-	instrs := make(map[uint32]decoded)
+	// instrs[pc-startW] is the instruction decoded at pc; Words == 0
+	// marks a word where no decoded instruction starts.
+	instrs := make([]avr.Instr, endW-startW)
 	truncated := uint32(0) // word address where decoding stopped, 0 = clean
 	for pc := startW; pc < endW; {
 		in := avr.DecodeAt(img, pc)
@@ -246,7 +244,7 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 			truncated = pc
 			break
 		}
-		instrs[pc] = decoded{in: in, next: next}
+		instrs[pc-startW] = in
 
 		switch in.Op {
 		case avr.OpBRBS, avr.OpBRBC, avr.OpRJMP:
@@ -316,14 +314,13 @@ func recoverFunc(img []byte, b core.Block, entries map[uint32]bool, regionStart,
 		bb := BasicBlock{Start: lw * 2, Term: TermFall}
 		pc := lw
 		for pc < limit {
-			d, ok := instrs[pc]
-			if !ok { // decoding stopped here (invalid/overrun)
+			in := instrs[pc-startW]
+			if in.Words == 0 { // decoding stopped here (invalid/overrun)
 				bb.Term = TermStop
 				pc = limit
 				break
 			}
-			in := d.in
-			pc = d.next
+			pc += uint32(in.Words)
 			stop := true
 			switch in.Op {
 			case avr.OpRET, avr.OpRETI:
@@ -410,7 +407,7 @@ const zReachBytes = 0x20000
 // relTarget computes the word target of a relative transfer at word
 // address pc with word offset k. ok is false when the target leaves
 // addressable flash — the encoding wrapped around the flash boundary.
-func relTarget(pc uint32, k int) (uint32, bool) {
+func relTarget(pc uint32, k int16) (uint32, bool) {
 	t := int64(pc) + 1 + int64(k)
 	if t < 0 || t >= int64(avr.FlashWords) {
 		return 0, false

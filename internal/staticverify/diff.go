@@ -148,7 +148,7 @@ func diffRange(orig, rnd []byte, oldStart, newStart, size uint32, block string, 
 			})
 			return findings
 		}
-		st.WordsCompared += oin.Words
+		st.WordsCompared += int(oin.Words)
 		kind := KindUnpatchedTransfer
 		if block == "" && addr < vecEnd {
 			kind = KindUnpatchedVector

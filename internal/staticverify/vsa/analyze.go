@@ -375,7 +375,7 @@ func (a *funcAnalyzer) tryWordPair(st *State, in avr.Instr, pc, end uint32) uint
 			ptr = avr.RegZL
 			second = next.Op == avr.OpLDZInc || (next.Op == avr.OpLDDZ && next.Q == 0)
 		}
-		if !second || d == ptr {
+		if !second || int(d) == ptr {
 			return 0
 		}
 		offs = a.ctx.wordOffs(st.pairAddrs(ptr))
@@ -384,7 +384,7 @@ func (a *funcAnalyzer) tryWordPair(st *State, in avr.Instr, pc, end uint32) uint
 		if in.Op == avr.OpLDDZ {
 			ptr = avr.RegZL
 		}
-		if next.Op != in.Op || next.Q != in.Q+1 || d == ptr {
+		if next.Op != in.Op || next.Q != in.Q+1 || int(d) == ptr {
 			return 0
 		}
 		offs = a.ctx.wordOffs(offsetAddrs(st.pairAddrs(ptr), uint16(in.Q)))

@@ -35,6 +35,7 @@ func Step(st *State, in avr.Instr, img []byte) {
 
 // Step applies the abstract transfer function of one instruction.
 func (c *Ctx) Step(st *State, in avr.Instr) {
+	rd := int(in.D) // register operand, as the State helpers index it
 	switch in.Op {
 	case avr.OpNOP, avr.OpWDR, avr.OpSLEEP, avr.OpBREAK, avr.OpInvalid, avr.OpSPM:
 		// SPM functions are excluded from analysis wholesale; a stray
@@ -50,9 +51,9 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 		st.Words[in.D/2] = st.Words[in.R/2]
 
 	case avr.OpMOV:
-		st.setReg(in.D, st.Regs[in.R])
+		st.setReg(rd, st.Regs[in.R])
 	case avr.OpLDI:
-		st.setReg(in.D, Val{Set: Const(byte(in.K))})
+		st.setReg(rd, Val{Set: Const(byte(in.K))})
 
 	case avr.OpADD, avr.OpADC:
 		cin := Flag(FlagClear)
@@ -60,7 +61,7 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 			cin = st.Flags[avr.FlagC]
 		}
 		res, cf := absAdd(st.Regs[in.D].Set, st.Regs[in.R].Set, cin, in.D == in.R)
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		st.arithFlags(res, cf)
 
 	case avr.OpSUB, avr.OpSBC:
@@ -69,7 +70,7 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 			cin = st.Flags[avr.FlagC]
 		}
 		res, cf := absSub(st.Regs[in.D].Set, st.Regs[in.R].Set, cin, in.D == in.R)
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		if in.Op == avr.OpSBC {
 			st.subKeepZFlags(res, cf)
 		} else {
@@ -77,11 +78,11 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 		}
 	case avr.OpSUBI:
 		res, cf := absSub(st.Regs[in.D].Set, Const(byte(in.K)), FlagClear, false)
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		st.arithFlags(res, cf)
 	case avr.OpSBCI:
 		res, cf := absSub(st.Regs[in.D].Set, Const(byte(in.K)), st.Flags[avr.FlagC], false)
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		st.subKeepZFlags(res, cf)
 
 	case avr.OpCP:
@@ -96,24 +97,24 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 
 	case avr.OpAND, avr.OpOR, avr.OpEOR:
 		res := absLogic(st.Regs[in.D].Set, st.Regs[in.R].Set, in.Op, in.D == in.R)
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		st.logicFlags(res)
 	case avr.OpANDI, avr.OpORI:
 		res := absLogic(st.Regs[in.D].Set, Const(byte(in.K)), in.Op, false)
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		st.logicFlags(res)
 
 	case avr.OpCOM:
 		res := st.Regs[in.D].Set.Map1(func(v byte) byte { return ^v })
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		st.logicFlags(res)
 		st.Flags[avr.FlagC] = FlagSet
 	case avr.OpNEG:
 		res, cf := absSub(Const(0), st.Regs[in.D].Set, FlagClear, false)
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		st.arithFlags(res, cf)
 	case avr.OpSWAP:
-		st.setReg(in.D, Val{Set: st.Regs[in.D].Set.Map1(func(v byte) byte { return v<<4 | v>>4 })})
+		st.setReg(rd, Val{Set: st.Regs[in.D].Set.Map1(func(v byte) byte { return v<<4 | v>>4 })})
 	case avr.OpINC, avr.OpDEC:
 		overflowAt := byte(0x80)
 		d := byte(1)
@@ -121,7 +122,7 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 			overflowAt, d = 0x7F, 0xFF
 		}
 		res := st.Regs[in.D].Set.Map1(func(v byte) byte { return v + d })
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		var vf Flag
 		if res.Has(overflowAt) {
 			vf |= FlagSet
@@ -153,7 +154,7 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 				}
 			}
 		}
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 		st.Flags[avr.FlagC] = cf
 		st.Flags[avr.FlagZ] = zFromRes(res)
 		st.Flags[avr.FlagN] = signFlag(res)
@@ -184,21 +185,21 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 				res = res.Add(v &^ (1 << in.B))
 			}
 		}
-		st.setReg(in.D, Val{Set: res})
+		st.setReg(rd, Val{Set: res})
 	case avr.OpBST:
-		st.Flags[avr.FlagT] = bitFlag(st.Regs[in.D].Set, in.B)
+		st.Flags[avr.FlagT] = bitFlag(st.Regs[in.D].Set, int(in.B))
 
 	case avr.OpIN:
-		c.ioRead(st, in.A, in.D)
+		c.ioRead(st, int(in.A), rd)
 	case avr.OpOUT:
-		c.ioWrite(st, in.A, st.Regs[in.D], in.D)
+		c.ioWrite(st, int(in.A), st.Regs[in.D], rd)
 	case avr.OpCBI, avr.OpSBI:
 		c.ioBit(st, in)
 
 	case avr.OpLDS:
-		c.dataLoad(st, in.D, []uint16{uint16(in.Target)})
+		c.dataLoad(st, rd, []uint16{uint16(in.Target)})
 	case avr.OpSTS:
-		c.dataStore(st, []uint16{uint16(in.Target)}, in.D)
+		c.dataStore(st, []uint16{uint16(in.Target)}, rd)
 
 	case avr.OpLDX, avr.OpLDXInc, avr.OpLDXDec:
 		c.stepIndirect(st, in, avr.RegXL)
@@ -209,21 +210,21 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 	case avr.OpSTX, avr.OpSTXInc, avr.OpSTXDec:
 		c.stepIndirect(st, in, avr.RegXL)
 	case avr.OpLDDY:
-		c.dataLoad(st, in.D, offsetAddrs(st.pairAddrs(avr.RegYL), uint16(in.Q)))
+		c.dataLoad(st, rd, offsetAddrs(st.pairAddrs(avr.RegYL), uint16(in.Q)))
 	case avr.OpLDDZ:
-		c.dataLoad(st, in.D, offsetAddrs(st.pairAddrs(avr.RegZL), uint16(in.Q)))
+		c.dataLoad(st, rd, offsetAddrs(st.pairAddrs(avr.RegZL), uint16(in.Q)))
 	case avr.OpSTDY:
-		c.dataStore(st, offsetAddrs(st.pairAddrs(avr.RegYL), uint16(in.Q)), in.D)
+		c.dataStore(st, offsetAddrs(st.pairAddrs(avr.RegYL), uint16(in.Q)), rd)
 	case avr.OpSTDZ:
-		c.dataStore(st, offsetAddrs(st.pairAddrs(avr.RegZL), uint16(in.Q)), in.D)
+		c.dataStore(st, offsetAddrs(st.pairAddrs(avr.RegZL), uint16(in.Q)), rd)
 
 	case avr.OpLPM:
 		c.flashLoad(st, 0, st.pairAddrs(avr.RegZL))
 	case avr.OpLPMZ:
-		c.flashLoad(st, in.D, st.pairAddrs(avr.RegZL))
+		c.flashLoad(st, rd, st.pairAddrs(avr.RegZL))
 	case avr.OpLPMZInc:
 		addrs := st.pairAddrs(avr.RegZL)
-		c.flashLoad(st, in.D, addrs)
+		c.flashLoad(st, rd, addrs)
 		c.pairAdd(st, avr.RegZL, 1)
 	case avr.OpELPM, avr.OpELPMZ, avr.OpELPMZInc:
 		c.stepELPM(st, in)
@@ -236,7 +237,7 @@ func (c *Ctx) Step(st *State, in avr.Instr) {
 			st.NegH = true
 			c.finding("stack-underflow", "pop below the entry stack height: the function consumes its caller's frame")
 		}
-		st.setReg(in.D, topVal())
+		st.setReg(rd, topVal())
 
 	case avr.OpRCALL, avr.OpCALL, avr.OpICALL, avr.OpEICALL:
 		st.clobberCall()
@@ -275,7 +276,7 @@ func (c *Ctx) finding(kind, detail string) {
 // stepADIW handles ADIW/SBIW: exact 16-bit transfer with full flag
 // precision when the pair enumerates, and SP-tag delta maintenance.
 func (c *Ctx) stepADIW(st *State, in avr.Instr) {
-	lo := in.D
+	lo := int(in.D)
 	k := uint16(in.K)
 	tag := st.Tags[lo/2]
 	pairs := st.pairEnum(lo, pairCap)
@@ -334,9 +335,9 @@ func (c *Ctx) stepIndirect(st *State, in avr.Instr, lo int) {
 	addrs := st.pairAddrs(lo)
 	switch in.Op {
 	case avr.OpLDX, avr.OpLDXInc, avr.OpLDXDec, avr.OpLDYInc, avr.OpLDYDec, avr.OpLDZInc, avr.OpLDZDec:
-		c.dataLoad(st, in.D, addrs)
+		c.dataLoad(st, int(in.D), addrs)
 	default:
-		c.dataStore(st, addrs, in.D)
+		c.dataStore(st, addrs, int(in.D))
 	}
 	switch in.Op {
 	case avr.OpLDXInc, avr.OpLDYInc, avr.OpLDZInc, avr.OpSTXInc, avr.OpSTYInc, avr.OpSTZInc:
@@ -366,7 +367,7 @@ func (c *Ctx) pairAdd(st *State, lo int, n int32) {
 func (c *Ctx) stepELPM(st *State, in avr.Instr) {
 	d := 0
 	if in.Op != avr.OpELPM {
-		d = in.D
+		d = int(in.D)
 	}
 	var addrs32 []uint32
 	z := st.pairAddrs(avr.RegZL)
