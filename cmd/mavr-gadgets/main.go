@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"mavr/internal/asm"
-	"mavr/internal/elfobj"
 	"mavr/internal/firmware"
 	"mavr/internal/gadget"
 )
@@ -30,29 +29,11 @@ func run() error {
 	max := flag.Int("max", 24, "maximum gadget length in words")
 	flag.Parse()
 
-	var image []byte
-	switch {
-	case *elfPath != "":
-		raw, err := os.ReadFile(*elfPath)
-		if err != nil {
-			return err
-		}
-		f, err := elfobj.Parse(raw)
-		if err != nil {
-			return err
-		}
-		image = f.Text
-	default:
-		spec, err := profile(*app)
-		if err != nil {
-			return err
-		}
-		img, err := firmware.Generate(spec, firmware.ModeMAVR)
-		if err != nil {
-			return err
-		}
-		image = img.Flash
+	elf, err := firmware.LoadELF(*elfPath, *app)
+	if err != nil {
+		return err
 	}
+	image := elf.Text
 
 	gs := gadget.Scan(image, *max)
 	byKind := gadget.CountByKind(gs)
@@ -70,18 +51,4 @@ func run() error {
 		fmt.Print(asm.Disassemble(image, wm.StoreAddr, 4+len(wm.PopRegs)))
 	}
 	return nil
-}
-
-func profile(name string) (firmware.AppSpec, error) {
-	switch name {
-	case "testapp":
-		return firmware.TestApp(), nil
-	case "arduplane":
-		return firmware.Arduplane(), nil
-	case "arducopter":
-		return firmware.Arducopter(), nil
-	case "ardurover":
-		return firmware.Ardurover(), nil
-	}
-	return firmware.AppSpec{}, fmt.Errorf("unknown application %q", name)
 }

@@ -15,7 +15,6 @@ import (
 
 	"mavr/internal/asm"
 	"mavr/internal/avr"
-	"mavr/internal/elfobj"
 	"mavr/internal/firmware"
 )
 
@@ -34,28 +33,9 @@ func run() error {
 	n := flag.Int("n", 0, "instruction count from -start")
 	flag.Parse()
 
-	var elf *elfobj.File
-	switch {
-	case *elfPath != "":
-		raw, err := os.ReadFile(*elfPath)
-		if err != nil {
-			return err
-		}
-		f, err := elfobj.Parse(raw)
-		if err != nil {
-			return err
-		}
-		elf = f
-	default:
-		spec, err := profile(*app)
-		if err != nil {
-			return err
-		}
-		img, err := firmware.Generate(spec, firmware.ModeMAVR)
-		if err != nil {
-			return err
-		}
-		elf = img.ELF
+	elf, err := firmware.LoadELF(*elfPath, *app)
+	if err != nil {
+		return err
 	}
 
 	if *n > 0 {
@@ -85,18 +65,4 @@ func run() error {
 		return fmt.Errorf("function %q not found", *fn)
 	}
 	return nil
-}
-
-func profile(name string) (firmware.AppSpec, error) {
-	switch name {
-	case "testapp":
-		return firmware.TestApp(), nil
-	case "arduplane":
-		return firmware.Arduplane(), nil
-	case "arducopter":
-		return firmware.Arducopter(), nil
-	case "ardurover":
-		return firmware.Ardurover(), nil
-	}
-	return firmware.AppSpec{}, fmt.Errorf("unknown application %q", name)
 }

@@ -58,28 +58,9 @@ func run() error {
 	armoryKey := flag.String("armory-key", "", "armory signing key (hex; empty: built-in dev key)")
 	flag.Parse()
 
-	var elf *elfobj.File
-	switch {
-	case *elfPath != "":
-		raw, err := os.ReadFile(*elfPath)
-		if err != nil {
-			return err
-		}
-		f, err := elfobj.Parse(raw)
-		if err != nil {
-			return err
-		}
-		elf = f
-	default:
-		spec, err := profile(*app)
-		if err != nil {
-			return err
-		}
-		img, err := firmware.Generate(spec, firmware.ModeMAVR)
-		if err != nil {
-			return err
-		}
-		elf = img.ELF
+	elf, err := firmware.LoadELF(*elfPath, *app)
+	if err != nil {
+		return err
 	}
 
 	if *armoryURL != "" {
@@ -203,18 +184,4 @@ func runArmory(elf *elfobj.File, url, vehicle string, epoch uint64, keyHex, hexO
 		fmt.Printf("wrote armory artifact to %s\n", hexOut)
 	}
 	return nil
-}
-
-func profile(name string) (firmware.AppSpec, error) {
-	switch name {
-	case "testapp":
-		return firmware.TestApp(), nil
-	case "arduplane":
-		return firmware.Arduplane(), nil
-	case "arducopter":
-		return firmware.Arducopter(), nil
-	case "ardurover":
-		return firmware.Ardurover(), nil
-	}
-	return firmware.AppSpec{}, fmt.Errorf("unknown application %q", name)
 }

@@ -53,7 +53,7 @@ func run() (int, error) {
 	skipPtr := flag.Int("skip-pointer", -1, "fault injection: revert the n-th patched function pointer before verifying")
 	flag.Parse()
 
-	elf, err := loadELF(*elfPath, *app)
+	elf, err := firmware.LoadELF(*elfPath, *app)
 	if err != nil {
 		return 1, err
 	}
@@ -114,34 +114,6 @@ func run() (int, error) {
 		return 2, nil
 	}
 	return 0, nil
-}
-
-func loadELF(path, app string) (*elfobj.File, error) {
-	if path != "" {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return elfobj.Parse(raw)
-	}
-	var spec firmware.AppSpec
-	switch app {
-	case "testapp":
-		spec = firmware.TestApp()
-	case "arduplane":
-		spec = firmware.Arduplane()
-	case "arducopter":
-		spec = firmware.Arducopter()
-	case "ardurover":
-		spec = firmware.Ardurover()
-	default:
-		return nil, fmt.Errorf("unknown application %q", app)
-	}
-	img, err := firmware.Generate(spec, firmware.ModeMAVR)
-	if err != nil {
-		return nil, err
-	}
-	return img.ELF, nil
 }
 
 // reconstruct rebuilds the Randomized record a prior mavr-randomize run

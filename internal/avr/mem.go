@@ -69,7 +69,7 @@ const (
 )
 
 // MemoryRegion describes one region of the ATmega2560 address space. The
-// set of regions is exported so tools (mavr-bench -fig 1) can render the
+// set of regions is exported so tools (mavr-bench -only fig1) can render the
 // paper's memory-map figure from the same constants the simulator uses.
 type MemoryRegion struct {
 	Name  string

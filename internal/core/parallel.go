@@ -123,9 +123,12 @@ func runChunked(seed int64, trials, workers int, sim func(rng *bruteRNG, count i
 	return sum / float64(trials)
 }
 
-// SimulateBruteForceFixedParallel is SimulateBruteForceFixed run on a
-// worker pool (workers <= 0 selects GOMAXPROCS). Results are
-// deterministic for a fixed seed, independent of worker count.
+// SimulateBruteForceFixedParallel measures the average number of
+// guesses an attacker needs against a fixed permutation when each
+// failed guess is eliminated (the software-only deployment of
+// §VIII-A); the result converges to (n!+1)/2. Trials run on a worker
+// pool (workers <= 0 selects GOMAXPROCS); results are deterministic for
+// a fixed seed, independent of worker count.
 func SimulateBruteForceFixedParallel(seed int64, n, trials, workers int) BruteForceResult {
 	nPerm := factInt(n)
 	mean := runChunked(seed, trials, workers, func(rng *bruteRNG, count int) float64 {
@@ -152,9 +155,11 @@ func SimulateBruteForceFixedParallel(seed int64, n, trials, workers int) BruteFo
 	}
 }
 
-// SimulateBruteForceRerandomizedParallel is the worker-pool variant of
-// SimulateBruteForceRerandomized, with the same determinism guarantee
-// as SimulateBruteForceFixedParallel.
+// SimulateBruteForceRerandomizedParallel measures the average guesses
+// against MAVR: after every failed attempt the master processor
+// re-randomizes, so previous failures carry no information; the result
+// converges to n!. Same worker pool and determinism guarantee as
+// SimulateBruteForceFixedParallel.
 func SimulateBruteForceRerandomizedParallel(seed int64, n, trials, workers int) BruteForceResult {
 	nPerm := factInt(n)
 	mean := runChunked(seed, trials, workers, func(rng *bruteRNG, count int) float64 {

@@ -40,9 +40,10 @@ func TestBruteForceParallelSeedSensitivity(t *testing.T) {
 	}
 }
 
-// The parallel sweeps must converge to the closed-form models of §V-D,
-// like the sequential ones (guards against chunk-stream overlap bias:
-// a linear SplitMix64 seed schedule converges to the wrong mean).
+// The sweeps must converge to the closed-form models of §V-D (guards
+// against chunk-stream overlap bias: a linear SplitMix64 seed schedule
+// converges to the wrong mean), and MAVR's re-randomization must
+// roughly double the attacker's work.
 func TestBruteForceParallelMatchesModels(t *testing.T) {
 	const trials = 60_000
 	for _, n := range []int{3, 4} {
@@ -55,6 +56,10 @@ func TestBruteForceParallelMatchesModels(t *testing.T) {
 		if rel := math.Abs(rer.MeanAttempts-rer.ModelAttempts) / rer.ModelAttempts; rel > 0.05 {
 			t.Errorf("rerandomized n=%d: mean %.3f vs model %.3f (rel err %.3f)",
 				n, rer.MeanAttempts, rer.ModelAttempts, rel)
+		}
+		if rer.MeanAttempts < fixed.MeanAttempts*1.5 {
+			t.Errorf("n=%d: re-randomization did not increase attacker effort: %.2f vs %.2f",
+				n, rer.MeanAttempts, fixed.MeanAttempts)
 		}
 	}
 }

@@ -21,6 +21,13 @@
 //     is demonstrable.
 package firmware
 
+import (
+	"fmt"
+	"os"
+
+	"mavr/internal/elfobj"
+)
+
 // ToolchainMode selects the code-generation style (paper §VI-B1).
 type ToolchainMode int
 
@@ -118,4 +125,37 @@ func TestApp() AppSpec {
 // Profiles returns the three paper applications in Table I order.
 func Profiles() []AppSpec {
 	return []AppSpec{Arduplane(), Arducopter(), Ardurover()}
+}
+
+// ProfileByName returns the built-in profile with the given name: the
+// test application or one of the three paper applications.
+func ProfileByName(name string) (AppSpec, error) {
+	for _, p := range append(Profiles(), TestApp()) {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return AppSpec{}, fmt.Errorf("unknown application %q", name)
+}
+
+// LoadELF returns the ELF file at path or, when path is empty, the
+// named profile generated in MAVR mode: the -elf/-app input of the
+// command-line tools.
+func LoadELF(path, app string) (*elfobj.File, error) {
+	if path != "" {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return elfobj.Parse(raw)
+	}
+	spec, err := ProfileByName(app)
+	if err != nil {
+		return nil, err
+	}
+	img, err := Generate(spec, ModeMAVR)
+	if err != nil {
+		return nil, err
+	}
+	return img.ELF, nil
 }

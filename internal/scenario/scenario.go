@@ -198,15 +198,14 @@ func (s Spec) Effective() Spec { return s.withDefaults() }
 
 // appSpec resolves the firmware profile name.
 func (s Spec) appSpec() (firmware.AppSpec, error) {
-	if s.App == "" || s.App == "testapp" {
+	if s.App == "" {
 		return firmware.TestApp(), nil
 	}
-	for _, p := range firmware.Profiles() {
-		if p.Name == s.App {
-			return p, nil
-		}
+	spec, err := firmware.ProfileByName(s.App)
+	if err != nil {
+		return spec, fmt.Errorf("scenario: %w", err)
 	}
-	return firmware.AppSpec{}, fmt.Errorf("scenario: unknown app profile %q", s.App)
+	return spec, nil
 }
 
 func (i Injection) withDefaults() Injection {
