@@ -39,6 +39,19 @@ package avr
 // never dropped: the generation check finds stale entries, and heat
 // survives a rewrite.
 //
+// Successor links skip that lookup between blocks. Each block carries
+// two (pc, block) slots naming blocks that Run entered right after it.
+// Before asking the block table for the next PC, Run checks the slots
+// of the block it just executed; on a miss it asks the table and
+// records the answer in a slot. A slot is stamped with the CPU-wide
+// flash epoch, which every invalidation of any extent bumps (all flash
+// writers reach InvalidateFlash or InvalidateAllFlash). While the epoch
+// is unchanged no page generation has moved, so the table still holds
+// the linked block, valid, at that PC: a hit returns exactly what
+// blockFor would, and blockFor would have had no side effect (no heat
+// count, no retranslation). All other statistics therefore stay as
+// they are without links; BlockStats.Linked counts the hits.
+//
 // The engine turns itself off — falling back to the plain interpreter
 // loop — whenever OnStep is set (tracing observes every instruction),
 // when ForceInterpreter is set (MAVR_AVR_INTERP=1), while an interrupt
@@ -58,6 +71,9 @@ const (
 	// heatPoison marks an entry PC whose instruction has no translation;
 	// Run interprets it forever instead of re-attempting.
 	heatPoison = 0xFF
+	// linkPCBits is the width of the PC in a successor link's key; the
+	// flash epoch sits above it.
+	linkPCBits = 17
 )
 
 // forceInterpEnv is the CI/tooling escape hatch: MAVR_AVR_INTERP=1
@@ -72,6 +88,7 @@ type BlockStats struct {
 	Execs       uint64 // block executions
 	Bails       uint64 // mid-block fallbacks to the interpreter
 	InterpSteps uint64 // instructions Run executed via the interpreter
+	Linked      uint64 // block entries found through a successor link
 }
 
 // TranslationStats returns the CPU's block-engine counters.
@@ -113,6 +130,16 @@ type block struct {
 	pages  [2]uint32
 	gens   [2]uint32
 	npages int
+	// links are the successor slots, most recently filled first.
+	links [2]blockLink
+}
+
+// blockLink names the block Run entered at a PC after the block holding
+// the link. key is flashEpoch<<linkPCBits | pc, so a link matches only
+// the PC it was made for, and only in the flash epoch it was made in.
+type blockLink struct {
+	key uint64
+	to  *block
 }
 
 // blocksEnabled reports whether Run may use translated blocks.
@@ -125,6 +152,30 @@ func (c *CPU) blocksEnabled() bool {
 type blockPage struct {
 	blocks [pageWords]*block
 	heat   [pageWords]uint8
+}
+
+// nextBlock returns what blockFor(pc) returns, looking first at the
+// successor links of prev, the block Run executed last (nil if the
+// previous step was not a block).
+func (c *CPU) nextBlock(prev *block, pc uint32) *block {
+	if prev == nil {
+		return c.blockFor(pc)
+	}
+	key := c.flashEpoch<<linkPCBits | uint64(pc)
+	if l := &prev.links[0]; l.key == key {
+		c.blkStats.Linked++
+		return l.to
+	}
+	if l := &prev.links[1]; l.key == key {
+		c.blkStats.Linked++
+		return l.to
+	}
+	b := c.blockFor(pc)
+	if b != nil {
+		prev.links[1] = prev.links[0]
+		prev.links[0] = blockLink{key: key, to: b}
+	}
+	return b
 }
 
 // blockFor returns the valid translation entered at pc, translating it

@@ -291,9 +291,132 @@ sub:
 			if !c.Sleeping || c.Reg(20) != 1 {
 				t.Fatalf("program misbehaved: sleeping=%v r20=%d", c.Sleeping, c.Reg(20))
 			}
-			if st := c.TranslationStats(); st.Execs != 0 || st.Translated != 0 {
+			if st := c.TranslationStats(); st.Execs != 0 || st.Translated != 0 || st.Linked != 0 {
 				t.Errorf("engine engaged despite escape hatch: %+v", st)
 			}
 		})
+	}
+}
+
+// linkLoop runs a between page 0 and b on flash page 2 (byte 0x200)
+// sixteen times, entering each block through its predecessor's
+// successor link once the loop is hot. r20 holds b's immediate.
+const linkLoop = `
+	ldi r24, 16
+a:
+	inc r22
+	jmp b
+
+.org 0x100
+b:
+	ldi r20, 1      ; word 0x100, bytes 41 E0
+	dec r24
+	brne back
+	sleep
+back:
+	jmp a
+
+.org 0x300
+	spm
+`
+
+// An SPM rewrite of b's page must reach execution even though a, on an
+// untouched page, stays valid and still links to the old b: the
+// rewrite stales every link. The retranslation count must be exactly
+// what the block table alone produces: links save lookups, never
+// invalidations.
+func TestBlockLinksFollowSPMRewrite(t *testing.T) {
+	img, err := asm.Assemble(linkLoop)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	c := avr.New()
+	c.ForceInterpreter = false
+	if err := c.LoadFlash(img); err != nil {
+		t.Fatal(err)
+	}
+	if c.Flash[0x200] != 0x41 || c.Flash[0x201] != 0xE0 {
+		t.Fatalf("unexpected layout: % X", c.Flash[0x200:0x204])
+	}
+	if _, f := c.Run(100_000); f != nil || !c.Sleeping || c.Reg(20) != 1 || c.Reg(22) != 16 {
+		t.Fatalf("first run: fault=%v sleeping=%v r20=%d r22=%d", f, c.Sleeping, c.Reg(20), c.Reg(22))
+	}
+	before := c.TranslationStats()
+	if before.Linked == 0 {
+		t.Fatalf("hot loop entered no block through a link: %+v", before)
+	}
+
+	page := append([]byte(nil), c.Flash[0x200:0x300]...)
+	page[0] = 0x42 // ldi r20, 2
+	c.Reset()
+	spmWritePage(t, c, 0x200, page)
+	c.Reset()
+	if _, f := c.Run(100_000); f != nil || !c.Sleeping || c.Reg(22) != 16 {
+		t.Fatalf("second run: fault=%v sleeping=%v r22=%d", f, c.Sleeping, c.Reg(22))
+	}
+	if got := c.Reg(20); got != 2 {
+		t.Errorf("r20 = %d after rewriting b, want 2 (a stale link ran the old b)", got)
+	}
+	after := c.TranslationStats()
+	// b's block and the "jmp a" block behind it sit on the rewritten
+	// page; a's block does not.
+	if got := after.Invalidated - before.Invalidated; got != 2 {
+		t.Errorf("rewrite invalidated %d translations, want 2: %+v", got, after)
+	}
+	if after.Linked == before.Linked {
+		t.Errorf("no link hits after the rewrite: %+v", after)
+	}
+}
+
+// Loading a different image between two Run calls must switch
+// execution to it mid-loop, links and all.
+func TestBlockLinksFollowLoadFlash(t *testing.T) {
+	img1, err := asm.Assemble(linkLoop)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	img2 := append([]byte(nil), img1...)
+	img2[0x200] = 0x42 // ldi r20, 2
+	c := avr.New()
+	c.ForceInterpreter = false
+	if err := c.LoadFlash(img1); err != nil {
+		t.Fatal(err)
+	}
+	// Stop mid-loop, after the blocks are hot and linked.
+	if _, f := c.Run(120); f != nil || c.Sleeping || c.Reg(20) != 1 {
+		t.Fatalf("first run: fault=%v sleeping=%v r20=%d", f, c.Sleeping, c.Reg(20))
+	}
+	if st := c.TranslationStats(); st.Linked == 0 {
+		t.Fatalf("no link hits before the reload: %+v", st)
+	}
+	if err := c.LoadFlash(img2); err != nil {
+		t.Fatal(err)
+	}
+	if _, f := c.Run(100_000); f != nil || !c.Sleeping {
+		t.Fatalf("second run: fault=%v sleeping=%v", f, c.Sleeping)
+	}
+	if c.Reg(20) != 2 || c.Reg(22) != 16 {
+		t.Errorf("after LoadFlash: r20=%d r22=%d, want 2 and 16 (stale translation or link?)", c.Reg(20), c.Reg(22))
+	}
+}
+
+// Hooks exist in I/O space only: SRAM is plain memory with a direct
+// load/store path, so installing a hook at or above SRAMBase panics.
+func TestHooksRejectSRAMAddresses(t *testing.T) {
+	c := avr.New()
+	c.HookRead(avr.SRAMBase-1, func(v byte) byte { return v })
+	c.HookWrite(avr.SRAMBase-1, func(byte) {})
+	for name, install := range map[string]func(){
+		"HookRead":  func() { c.HookRead(avr.SRAMBase, func(v byte) byte { return v }) },
+		"HookWrite": func() { c.HookWrite(avr.SRAMBase, func(byte) {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at SRAMBase did not panic", name)
+				}
+			}()
+			install()
+		}()
 	}
 }

@@ -71,7 +71,8 @@ func (c *CPU) fillDecodePage(n uint32) *decodePage {
 
 // InvalidateFlash marks n flash bytes starting at byte address start as
 // modified: it drops the decode pages covering them and bumps their
-// generation, so translated blocks over them retranslate on next entry.
+// generation, so translated blocks over them retranslate on next entry,
+// and it stales every block successor link.
 // Code that writes c.Flash directly (the board's bootloader
 // installation, external programmers) must call this; the CPU's own
 // flash channels (LoadFlash, SPM) invalidate automatically.
@@ -91,6 +92,7 @@ func (c *CPU) InvalidateFlash(start, n uint32) {
 		c.decoded[p] = nil
 		c.pageGen[p]++
 	}
+	c.flashEpoch++
 }
 
 // InvalidateAllFlash drops every decode page and invalidates every
@@ -100,4 +102,5 @@ func (c *CPU) InvalidateAllFlash() {
 		c.decoded[p] = nil
 		c.pageGen[p]++
 	}
+	c.flashEpoch++
 }

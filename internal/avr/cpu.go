@@ -59,10 +59,10 @@ func (f *Fault) Error() string {
 // interrupt source is pending.
 var ErrSleeping = errors.New("avr: cpu sleeping")
 
-// IOReadFunc intercepts a read of one data-space address.
+// IOReadFunc intercepts a read of one I/O-space address.
 type IOReadFunc func(cur byte) byte
 
-// IOWriteFunc intercepts a write to one data-space address.
+// IOWriteFunc intercepts a write to one I/O-space address.
 type IOWriteFunc func(v byte)
 
 // CPU is a simulated ATmega2560 core.
@@ -71,6 +71,11 @@ type IOWriteFunc func(v byte)
 // a fresh CPU, so its fixed cost matters. Besides the memories it holds
 // only page-indexed table headers; the decode and block tables behind
 // them are allocated a flash page at a time as execution reaches it.
+//
+// Hooks (HookRead, HookWrite) exist only below SRAMBase: registers,
+// I/O and extended I/O, where the peripherals live. SRAM is plain
+// memory, so every SRAM access — above all the stack traffic of call,
+// ret, push and pop — is a direct load or store with no hook lookup.
 type CPU struct {
 	// Flash is the byte-addressed program memory (len FlashSize). It is
 	// execute/LPM-only from the program's point of view; stores cannot
@@ -102,8 +107,8 @@ type CPU struct {
 	ForceInterpreter bool
 
 	fault       *Fault
-	readHook    []IOReadFunc  // indexed by data-space address
-	writeHk     []IOWriteFunc // indexed by data-space address
+	readHook    [SRAMBase]IOReadFunc  // indexed by data-space address
+	writeHk     [SRAMBase]IOWriteFunc // indexed by data-space address
 	pendingInts uint64
 	intSuppress bool
 	spmBuf      [SPMPageSize]byte
@@ -120,6 +125,10 @@ type CPU struct {
 	blocks   [flashPages]*blockPage
 	pageGen  [flashPages]uint32
 	blkStats BlockStats
+	// flashEpoch counts flash invalidations of any extent; block
+	// successor links stamped with an older epoch are stale. It starts
+	// at 1 so that an empty link never matches.
+	flashEpoch uint64
 }
 
 // New returns a CPU with zeroed memories and SP initialized to the top
@@ -130,6 +139,7 @@ func New() *CPU {
 		Data:             make([]byte, DataSpaceSize),
 		EEPROM:           make([]byte, EEPROMSize),
 		ForceInterpreter: forceInterpEnv,
+		flashEpoch:       1,
 	}
 	c.installEEPROM()
 	c.SetSP(uint16(DataSpaceSize - 1))
@@ -218,53 +228,74 @@ func (c *CPU) SetFlag(f int, on bool) {
 // HookRead installs fn as the read interceptor for data-space address
 // addr (use IOBase+ioAddr for I/O registers). The function receives the
 // current backing value and returns the value the program observes.
+// Hooks are for I/O space only: addr must be below SRAMBase, and HookRead
+// panics otherwise.
 func (c *CPU) HookRead(addr uint16, fn IOReadFunc) {
-	if c.readHook == nil {
-		c.readHook = make([]IOReadFunc, DataSpaceSize)
+	if addr >= SRAMBase {
+		panic(fmt.Sprintf("avr: HookRead at 0x%04X: hooks are I/O-space only (addr < 0x%04X)", addr, SRAMBase))
 	}
 	c.readHook[addr] = fn
 }
 
-// HookWrite installs fn as the write observer for data-space address addr.
-// The backing store is updated first, then fn is called with the value.
+// HookWrite installs fn as the write observer for data-space address
+// addr. The backing store is updated first, then fn is called with the
+// value. Like HookRead, it panics unless addr is below SRAMBase.
 func (c *CPU) HookWrite(addr uint16, fn IOWriteFunc) {
-	if c.writeHk == nil {
-		c.writeHk = make([]IOWriteFunc, DataSpaceSize)
+	if addr >= SRAMBase {
+		panic(fmt.Sprintf("avr: HookWrite at 0x%04X: hooks are I/O-space only (addr < 0x%04X)", addr, SRAMBase))
 	}
 	c.writeHk[addr] = fn
 }
 
-// ReadData reads one byte of data space, honoring read hooks.
+// ReadData reads one byte of data space, honoring read hooks. Its SRAM
+// path is small enough to inline into the translated loads.
 func (c *CPU) ReadData(addr uint16) byte {
-	if int(addr) >= len(c.Data) {
-		return 0xFF // unimplemented external memory space
+	if addr >= SRAMBase && int(addr) < len(c.Data) {
+		return c.Data[addr]
+	}
+	return c.readIO(addr)
+}
+
+// readIO is ReadData below SRAMBase, where hooks live, and above the
+// data space, which reads as 0xFF (unimplemented external memory).
+func (c *CPU) readIO(addr uint16) byte {
+	if addr >= SRAMBase {
+		return 0xFF
 	}
 	v := c.Data[addr]
-	if c.readHook != nil {
-		if fn := c.readHook[addr]; fn != nil {
-			return fn(v)
-		}
+	if fn := c.readHook[addr]; fn != nil {
+		return fn(v)
 	}
 	return v
 }
 
-// WriteData writes one byte of data space, honoring write hooks.
+// WriteData writes one byte of data space, honoring write hooks. Like
+// ReadData it inlines its SRAM path.
 func (c *CPU) WriteData(addr uint16, v byte) {
-	if int(addr) >= len(c.Data) {
+	if addr >= SRAMBase && int(addr) < len(c.Data) {
+		c.Data[addr] = v
+		return
+	}
+	c.writeIO(addr, v)
+}
+
+// writeIO is WriteData below SRAMBase; writes above the data space are
+// dropped.
+func (c *CPU) writeIO(addr uint16, v byte) {
+	if addr >= SRAMBase {
 		return
 	}
 	if addr == AddrSREG {
 		c.noteSREGWrite(c.Data[addr], v)
 	}
 	c.Data[addr] = v
-	if c.writeHk != nil {
-		if fn := c.writeHk[addr]; fn != nil {
-			fn(v)
-		}
+	if fn := c.writeHk[addr]; fn != nil {
+		fn(v)
 	}
 }
 
-// PushByte pushes one byte (post-decrement, AVR convention).
+// PushByte pushes one byte (post-decrement, AVR convention). A push
+// that leaves SP below SRAMBase raises a stack-overflow fault.
 func (c *CPU) PushByte(v byte) {
 	sp := c.SP()
 	c.WriteData(sp, v)
@@ -284,14 +315,36 @@ func (c *CPU) PopByte() byte {
 // PushPC pushes the 17-bit return address ret (a word address) as three
 // bytes, low byte first, so that ascending memory holds [ext, hi, lo] —
 // the big-endian layout visible in the paper's Fig. 6 stack dumps.
+//
+// When all three bytes land in SRAM and SP stays at or above SRAMBase,
+// nothing can fault or reach a hook, so the push is three stores and
+// one SP update. Otherwise it runs byte by byte, and a fault, a hook
+// call or a write to the SP registers themselves happens exactly where
+// the single-byte sequence puts it.
 func (c *CPU) PushPC(ret uint32) {
+	sp := c.SP()
+	if sp >= SRAMBase+3 && int(sp) < len(c.Data) {
+		d := c.Data[sp-2 : sp+1]
+		d[2] = byte(ret)
+		d[1] = byte(ret >> 8)
+		d[0] = byte(ret >> 16)
+		c.SetSP(sp - 3)
+		return
+	}
 	c.PushByte(byte(ret))
 	c.PushByte(byte(ret >> 8))
 	c.PushByte(byte(ret >> 16))
 }
 
-// PopPC pops a 3-byte return address.
+// PopPC pops a 3-byte return address. Like PushPC it reads SP once and
+// writes it once when all three bytes are SRAM.
 func (c *CPU) PopPC() uint32 {
+	sp := int(c.SP())
+	if sp+1 >= SRAMBase && sp+3 < len(c.Data) {
+		d := c.Data[sp+1 : sp+4]
+		c.SetSP(uint16(sp + 3))
+		return uint32(d[0])<<16 | uint32(d[1])<<8 | uint32(d[2])
+	}
 	ext := uint32(c.PopByte())
 	hi := uint32(c.PopByte())
 	lo := uint32(c.PopByte())
@@ -359,6 +412,9 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 	// iteration, and the interpreter below remains the reference path
 	// for cold, traced, or interrupt-window code.
 	useBlocks := c.blocksEnabled()
+	// prev is the block executed by the previous iteration, if any: its
+	// successor links stand in for the block-table lookup of the next.
+	var prev *block
 	for c.Cycles < end {
 		if c.fault != nil {
 			return c.Cycles - start, c.fault
@@ -368,6 +424,7 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 			// instruction before recognizing pending interrupts.
 			c.intSuppress = false
 		} else if c.pendingInts != 0 && c.dispatchInterrupt() {
+			prev = nil
 			continue
 		}
 		if c.Sleeping {
@@ -379,7 +436,7 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 			return c.Cycles - start, c.fault
 		}
 		if useBlocks && c.pendingInts == 0 && !c.intSuppress {
-			if b := c.blockFor(c.PC); b != nil && c.Cycles+b.cycles <= end {
+			if b := c.nextBlock(prev, c.PC); b != nil && c.Cycles+b.cycles <= end {
 				// The block's worst-case cost fits the budget, so it
 				// stops at the same instruction boundary the
 				// interpreter would.
@@ -388,9 +445,11 @@ func (c *CPU) Run(maxCycles uint64) (uint64, *Fault) {
 				if c.fault != nil {
 					return c.Cycles - start, c.fault
 				}
+				prev = b
 				continue
 			}
 		}
+		prev = nil
 		in := c.fetch(c.PC)
 		if c.OnStep != nil {
 			c.OnStep(c.PC, in)

@@ -54,23 +54,23 @@ func (c *CPU) exec(in Instr) {
 		c.SetRegPair(d, c.RegPair(r))
 
 	case OpADD:
-		c.SetReg(d, c.addFlags(c.Reg(d), c.Reg(r), false))
+		c.SetReg(d, c.addFlags(c.Reg(d), c.Reg(r), 0))
 	case OpADC:
-		c.SetReg(d, c.addFlags(c.Reg(d), c.Reg(r), c.Flag(FlagC)))
+		c.SetReg(d, c.addFlags(c.Reg(d), c.Reg(r), c.carry()))
 	case OpSUB:
-		c.SetReg(d, c.subFlags(c.Reg(d), c.Reg(r), false, false))
+		c.SetReg(d, c.subFlags(c.Reg(d), c.Reg(r), 0, false))
 	case OpSBC:
-		c.SetReg(d, c.subFlags(c.Reg(d), c.Reg(r), c.Flag(FlagC), true))
+		c.SetReg(d, c.subFlags(c.Reg(d), c.Reg(r), c.carry(), true))
 	case OpSUBI:
-		c.SetReg(d, c.subFlags(c.Reg(d), byte(in.K), false, false))
+		c.SetReg(d, c.subFlags(c.Reg(d), byte(in.K), 0, false))
 	case OpSBCI:
-		c.SetReg(d, c.subFlags(c.Reg(d), byte(in.K), c.Flag(FlagC), true))
+		c.SetReg(d, c.subFlags(c.Reg(d), byte(in.K), c.carry(), true))
 	case OpCP:
-		c.subFlags(c.Reg(d), c.Reg(r), false, false)
+		c.subFlags(c.Reg(d), c.Reg(r), 0, false)
 	case OpCPC:
-		c.subFlags(c.Reg(d), c.Reg(r), c.Flag(FlagC), true)
+		c.subFlags(c.Reg(d), c.Reg(r), c.carry(), true)
 	case OpCPI:
-		c.subFlags(c.Reg(d), byte(in.K), false, false)
+		c.subFlags(c.Reg(d), byte(in.K), 0, false)
 
 	case OpAND:
 		c.SetReg(d, c.logicFlags(c.Reg(d)&c.Reg(r)))
@@ -88,81 +88,39 @@ func (c *CPU) exec(in Instr) {
 		c.SetReg(d, byte(in.K))
 
 	case OpCOM:
-		v := ^c.Reg(d)
-		c.logicFlags(v)
-		c.SetFlag(FlagC, true)
-		c.SetReg(d, v)
+		c.SetReg(d, c.comFlags(^c.Reg(d)))
 	case OpNEG:
-		c.SetReg(d, c.subFlags(0, c.Reg(d), false, false))
+		c.SetReg(d, c.subFlags(0, c.Reg(d), 0, false))
 	case OpSWAP:
 		v := c.Reg(d)
 		c.SetReg(d, v<<4|v>>4)
 	case OpINC:
-		v := c.Reg(d) + 1
-		c.SetFlag(FlagV, v == 0x80)
-		c.nzs(v)
-		c.SetReg(d, v)
+		c.SetReg(d, c.incFlags(c.Reg(d)))
 	case OpDEC:
-		v := c.Reg(d) - 1
-		c.SetFlag(FlagV, v == 0x7F)
-		c.nzs(v)
-		c.SetReg(d, v)
+		c.SetReg(d, c.decFlags(c.Reg(d)))
 	case OpASR:
 		v := c.Reg(d)
-		res := v>>1 | v&0x80
-		c.shiftFlags(res, v&1 != 0)
-		c.SetReg(d, res)
+		c.SetReg(d, c.shiftFlags(v>>1|v&0x80, v))
 	case OpLSR:
 		v := c.Reg(d)
-		res := v >> 1
-		c.shiftFlags(res, v&1 != 0)
-		c.SetReg(d, res)
+		c.SetReg(d, c.shiftFlags(v>>1, v))
 	case OpROR:
 		v := c.Reg(d)
-		res := v >> 1
-		if c.Flag(FlagC) {
-			res |= 0x80
-		}
-		c.shiftFlags(res, v&1 != 0)
-		c.SetReg(d, res)
+		c.SetReg(d, c.shiftFlags(v>>1|c.carry()<<7, v))
 
 	case OpMUL:
-		r := uint16(c.Reg(d)) * uint16(c.Reg(r))
-		c.SetRegPair(0, r)
-		c.SetFlag(FlagC, r&0x8000 != 0)
-		c.SetFlag(FlagZ, r == 0)
+		c.SetRegPair(0, c.mulFlags(uint16(c.Reg(d))*uint16(c.Reg(r))))
 	case OpMULS:
-		r := int16(int8(c.Reg(d))) * int16(int8(c.Reg(r)))
-		c.SetRegPair(0, uint16(r))
-		c.SetFlag(FlagC, uint16(r)&0x8000 != 0)
-		c.SetFlag(FlagZ, r == 0)
-	case OpMULSU, OpFMUL:
-		r := int16(int8(c.Reg(d))) * int16(c.Reg(r))
-		if in.Op == OpFMUL {
-			r <<= 1
-		}
-		c.SetRegPair(0, uint16(r))
-		c.SetFlag(FlagC, uint16(r)&0x8000 != 0)
-		c.SetFlag(FlagZ, r == 0)
+		c.SetRegPair(0, c.mulFlags(uint16(int16(int8(c.Reg(d)))*int16(int8(c.Reg(r))))))
+	case OpMULSU:
+		c.SetRegPair(0, c.mulFlags(uint16(int16(int8(c.Reg(d)))*int16(c.Reg(r)))))
+	case OpFMUL:
+		c.SetRegPair(0, c.mulFlags(uint16(int16(int8(c.Reg(d)))*int16(c.Reg(r))<<1)))
 
 	case OpADIW:
-		v := c.RegPair(d)
-		res := v + uint16(in.K)
-		c.SetRegPair(d, res)
-		c.SetFlag(FlagC, res < v)
-		c.SetFlag(FlagZ, res == 0)
-		c.SetFlag(FlagN, res&0x8000 != 0)
-		c.SetFlag(FlagV, v&0x8000 == 0 && res&0x8000 != 0)
-		c.SetFlag(FlagS, c.Flag(FlagN) != c.Flag(FlagV))
+		c.SetRegPair(d, c.adiwFlags(c.RegPair(d), uint16(in.K)))
 	case OpSBIW:
-		v := c.RegPair(d)
-		res := v - uint16(in.K)
-		c.SetRegPair(d, res)
-		c.SetFlag(FlagC, res > v)
-		c.SetFlag(FlagZ, res == 0)
-		c.SetFlag(FlagN, res&0x8000 != 0)
-		c.SetFlag(FlagV, v&0x8000 != 0 && res&0x8000 == 0)
-		c.SetFlag(FlagS, c.Flag(FlagN) != c.Flag(FlagV))
+		c.SetRegPair(d, c.sbiwFlags(c.RegPair(d), uint16(in.K)))
 
 	case OpBSET:
 		if d == FlagI && !c.Flag(FlagI) {
@@ -362,57 +320,108 @@ func (c *CPU) eindZ() uint32 {
 	return uint32(c.Data[IOBase+IOAddrEIND]&1)<<16 | uint32(c.RegPair(RegZL))
 }
 
-// nzs updates N, Z and S from result v (V must already be set).
-func (c *CPU) nzs(v byte) {
-	c.SetFlag(FlagN, v&0x80 != 0)
-	c.SetFlag(FlagZ, v == 0)
-	c.SetFlag(FlagS, c.Flag(FlagN) != c.Flag(FlagV))
+// SREG updates. Each helper below computes every flag its instruction
+// writes without branching and stores SREG once, replacing just those
+// bits: the bits an instruction leaves alone (always I and T, and H, C
+// or V where the datasheet says so) pass through the mask untouched.
+
+// setFlags replaces the SREG bits in mask with bits (a subset of mask).
+func (c *CPU) setFlags(mask, bits byte) {
+	c.Data[AddrSREG] = c.Data[AddrSREG]&^mask | bits
 }
 
-func (c *CPU) addFlags(a, b byte, carry bool) byte {
-	ci := byte(0)
-	if carry {
-		ci = 1
-	}
-	r := a + b + ci
-	c.SetFlag(FlagH, (a&0xF+b&0xF+ci)&0x10 != 0)
-	c.SetFlag(FlagC, int(a)+int(b)+int(ci) > 0xFF)
-	c.SetFlag(FlagV, (a^r)&(b^r)&0x80 != 0)
-	c.nzs(r)
-	return r
+// carry returns the C flag as 0 or 1 (C is SREG bit 0).
+func (c *CPU) carry() byte { return c.Data[AddrSREG] & mC }
+
+// zeroBit returns 1 if x is zero and 0 otherwise, for x below 1<<31.
+func zeroBit(x uint32) byte { return byte((x - 1) >> 31) }
+
+// nzsBits returns the N, Z, V and S bits for result r, given the V flag
+// as 0 or 1.
+func nzsBits(r, v byte) byte {
+	n := r >> 7
+	return zeroBit(uint32(r))<<FlagZ | n<<FlagN | v<<FlagV | (n^v)<<FlagS
 }
 
-// subFlags computes a-b-carry and updates flags. If keepZ is set, Z is
-// only cleared (never set), which is the cpc/sbc/sbci behaviour that
-// makes multi-byte compares work.
-func (c *CPU) subFlags(a, b byte, carry, keepZ bool) byte {
-	ci := byte(0)
-	if carry {
-		ci = 1
-	}
-	r := a - b - ci
-	c.SetFlag(FlagH, (b&0xF+ci) > a&0xF)
-	c.SetFlag(FlagC, int(b)+int(ci) > int(a))
-	c.SetFlag(FlagV, (a^b)&(a^r)&0x80 != 0)
-	prevZ := c.Flag(FlagZ)
-	c.nzs(r)
-	if keepZ && r == 0 {
-		c.SetFlag(FlagZ, prevZ)
-		c.SetFlag(FlagS, c.Flag(FlagN) != c.Flag(FlagV))
-	}
-	return r
-}
-
+// logicFlags sets N, Z and S from v and clears V: and, or, eor.
 func (c *CPU) logicFlags(v byte) byte {
-	c.SetFlag(FlagV, false)
-	c.nzs(v)
+	c.setFlags(mLogic, nzsBits(v, 0))
 	return v
 }
 
-func (c *CPU) shiftFlags(res byte, carryOut bool) {
-	c.SetFlag(FlagC, carryOut)
-	c.SetFlag(FlagZ, res == 0)
-	c.SetFlag(FlagN, res&0x80 != 0)
-	c.SetFlag(FlagV, c.Flag(FlagN) != c.Flag(FlagC))
-	c.SetFlag(FlagS, c.Flag(FlagN) != c.Flag(FlagV))
+// comFlags is logicFlags plus the C flag com always sets.
+func (c *CPU) comFlags(v byte) byte {
+	c.setFlags(mLogic|mC, nzsBits(v, 0)|mC)
+	return v
+}
+
+// incFlags returns v+1; V is set on the 0x7F→0x80 overflow.
+func (c *CPU) incFlags(v byte) byte {
+	r := v + 1
+	c.setFlags(mLogic, nzsBits(r, zeroBit(uint32(r^0x80))))
+	return r
+}
+
+// decFlags returns v-1; V is set on the 0x80→0x7F overflow.
+func (c *CPU) decFlags(v byte) byte {
+	r := v - 1
+	c.setFlags(mLogic, nzsBits(r, zeroBit(uint32(r^0x7F))))
+	return r
+}
+
+// addFlags returns a+b+ci (ci is 0 or 1) and sets H, C, N, V, S and Z.
+func (c *CPU) addFlags(a, b, ci byte) byte {
+	r := a + b + ci
+	carries := a&b | (a|b)&^r // carry out of every bit
+	v := (a ^ r) & (b ^ r) >> 7
+	c.setFlags(mArith, nzsBits(r, v)|carries>>3&1<<FlagH|carries>>7<<FlagC)
+	return r
+}
+
+// subFlags returns a-b-ci (ci is 0 or 1) and sets H, C, N, V, S and Z.
+// If keepZ is set, Z is only cleared (never set), which is the
+// cpc/sbc/sbci behaviour that makes multi-byte compares work.
+func (c *CPU) subFlags(a, b, ci byte, keepZ bool) byte {
+	r := a - b - ci
+	borrows := ^a&b | (^a|b)&r // borrow out of every bit
+	v := (a ^ b) & (a ^ r) >> 7
+	bits := nzsBits(r, v) | borrows>>3&1<<FlagH | borrows>>7<<FlagC
+	if keepZ {
+		bits &^= ^c.Data[AddrSREG] & mZ
+	}
+	c.setFlags(mArith, bits)
+	return r
+}
+
+// shiftFlags sets the flags of asr, lsr and ror for result res of
+// shifting v right: C is the bit shifted out, V = N xor C, S = N xor V.
+func (c *CPU) shiftFlags(res, v byte) byte {
+	cf, n := v&1, res>>7
+	c.setFlags(mShift, zeroBit(uint32(res))<<FlagZ|n<<FlagN|(n^cf)<<FlagV|cf<<FlagS|cf<<FlagC)
+	return res
+}
+
+// mulFlags sets C (bit 15 of the product) and Z for the mul family and
+// returns the product.
+func (c *CPU) mulFlags(p uint16) uint16 {
+	c.setFlags(mC|mZ, zeroBit(uint32(p))<<FlagZ|byte(p>>15)<<FlagC)
+	return p
+}
+
+// adiwFlags returns v+k and sets C, Z, N, V and S.
+func (c *CPU) adiwFlags(v, k uint16) uint16 {
+	sum := uint32(v) + uint32(k)
+	r := uint16(sum)
+	n, ov := byte(r>>15), byte(^v&r>>15)
+	c.setFlags(mShift, zeroBit(uint32(r))<<FlagZ|n<<FlagN|ov<<FlagV|(n^ov)<<FlagS|byte(sum>>16)<<FlagC)
+	return r
+}
+
+// sbiwFlags returns v-k and sets C, Z, N, V and S.
+func (c *CPU) sbiwFlags(v, k uint16) uint16 {
+	diff := uint32(v) - uint32(k)
+	r := uint16(diff)
+	n, ov := byte(r>>15), byte(v&^r>>15)
+	c.setFlags(mShift, zeroBit(uint32(r))<<FlagZ|n<<FlagN|ov<<FlagV|(n^ov)<<FlagS|byte(diff>>31)<<FlagC)
+	return r
 }

@@ -104,8 +104,9 @@ func straddleImage() []byte {
 // PCs cross the heat threshold and later rounds execute translated
 // blocks; the plan byte toggles interrupts between slices, an I/O
 // write hook that raises an interrupt mid-block, a mid-corpus flash
-// rewrite with invalidation, and a mid-corpus one-word rewrite at the
-// first word of page 1.
+// rewrite with invalidation, a mid-corpus one-word rewrite at the
+// first word of page 1, and a stack pointer seeded next to SRAMBase,
+// where pushes fault and stack bytes reach the hooked I/O space.
 func FuzzBlockExec(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00}, []byte{1, 2, 3}, byte(0))
 	// ldi r16,0x42 ; ldi r17,1 ; add r16,r17 ; rjmp .-8
@@ -120,6 +121,9 @@ func FuzzBlockExec(f *testing.F) {
 	// lds straddling the page 0/1 boundary, its operand word rewritten
 	// alone mid-corpus
 	f.Add(straddleImage(), []byte{}, byte(16))
+	// push r0 ; call .+0 ; pop r1 ; ret with SP seeded at SRAMBase+3
+	// and a write hook: stack traffic across the bottom of SRAM
+	f.Add([]byte{0x0F, 0x92, 0x0E, 0x94, 0x03, 0x00, 0x1F, 0x90, 0x08, 0x95}, []byte{0x10, 0x0B}, byte(32|2))
 
 	f.Fuzz(func(t *testing.T, image, regs []byte, plan byte) {
 		if len(image) == 0 {
@@ -155,6 +159,11 @@ func FuzzBlockExec(f *testing.F) {
 			}
 			if len(regs) > 0 {
 				c.SetSREG(regs[0])
+				if plan&32 != 0 {
+					// SP in [SRAMBase-8, SRAMBase+7]: the fused stack
+					// paths must fall back to the byte-at-a-time one.
+					c.SetSP(SRAMBase - 8 + uint16(regs[len(regs)-1]&0x0F))
+				}
 			}
 		}
 		state := func(c *CPU) string {

@@ -15,7 +15,8 @@ package avr
 // point where execution could leave the block (fault, interrupt bail,
 // terminator) — flag elision is never observable.
 
-// SREG flag bit masks for the liveness scan.
+// SREG flag bit masks: the flags each instruction class writes, shared
+// by the one-store flag helpers (exec.go) and the liveness scan.
 const (
 	mC = 1 << FlagC
 	mZ = 1 << FlagZ
@@ -285,48 +286,48 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 		if dead {
 			return func(c *CPU) { c.Data[d] += c.Data[r] }, false
 		}
-		return func(c *CPU) { c.Data[d] = c.addFlags(c.Data[d], c.Data[r], false) }, false
+		return func(c *CPU) { c.Data[d] = c.addFlags(c.Data[d], c.Data[r], 0) }, false
 	case OpADC:
 		if dead {
 			return func(c *CPU) { c.Data[d] += c.Data[r] + c.Data[AddrSREG]&1 }, false
 		}
-		return func(c *CPU) { c.Data[d] = c.addFlags(c.Data[d], c.Data[r], c.Data[AddrSREG]&mC != 0) }, false
+		return func(c *CPU) { c.Data[d] = c.addFlags(c.Data[d], c.Data[r], c.carry()) }, false
 	case OpSUB:
 		if dead {
 			return func(c *CPU) { c.Data[d] -= c.Data[r] }, false
 		}
-		return func(c *CPU) { c.Data[d] = c.subFlags(c.Data[d], c.Data[r], false, false) }, false
+		return func(c *CPU) { c.Data[d] = c.subFlags(c.Data[d], c.Data[r], 0, false) }, false
 	case OpSBC:
 		if dead {
 			return func(c *CPU) { c.Data[d] -= c.Data[r] + c.Data[AddrSREG]&1 }, false
 		}
-		return func(c *CPU) { c.Data[d] = c.subFlags(c.Data[d], c.Data[r], c.Data[AddrSREG]&mC != 0, true) }, false
+		return func(c *CPU) { c.Data[d] = c.subFlags(c.Data[d], c.Data[r], c.carry(), true) }, false
 	case OpSUBI:
 		if dead {
 			return func(c *CPU) { c.Data[d] -= k }, false
 		}
-		return func(c *CPU) { c.Data[d] = c.subFlags(c.Data[d], k, false, false) }, false
+		return func(c *CPU) { c.Data[d] = c.subFlags(c.Data[d], k, 0, false) }, false
 	case OpSBCI:
 		if dead {
 			return func(c *CPU) { c.Data[d] -= k + c.Data[AddrSREG]&1 }, false
 		}
-		return func(c *CPU) { c.Data[d] = c.subFlags(c.Data[d], k, c.Data[AddrSREG]&mC != 0, true) }, false
+		return func(c *CPU) { c.Data[d] = c.subFlags(c.Data[d], k, c.carry(), true) }, false
 
 	case OpCP:
 		if dead {
 			return nil, false
 		}
-		return func(c *CPU) { c.subFlags(c.Data[d], c.Data[r], false, false) }, false
+		return func(c *CPU) { c.subFlags(c.Data[d], c.Data[r], 0, false) }, false
 	case OpCPC:
 		if dead {
 			return nil, false
 		}
-		return func(c *CPU) { c.subFlags(c.Data[d], c.Data[r], c.Data[AddrSREG]&mC != 0, true) }, false
+		return func(c *CPU) { c.subFlags(c.Data[d], c.Data[r], c.carry(), true) }, false
 	case OpCPI:
 		if dead {
 			return nil, false
 		}
-		return func(c *CPU) { c.subFlags(c.Data[d], k, false, false) }, false
+		return func(c *CPU) { c.subFlags(c.Data[d], k, 0, false) }, false
 
 	case OpAND:
 		if dead {
@@ -363,17 +364,12 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 		if dead {
 			return func(c *CPU) { c.Data[d] = ^c.Data[d] }, false
 		}
-		return func(c *CPU) {
-			v := ^c.Data[d]
-			c.logicFlags(v)
-			c.SetFlag(FlagC, true)
-			c.Data[d] = v
-		}, false
+		return func(c *CPU) { c.Data[d] = c.comFlags(^c.Data[d]) }, false
 	case OpNEG:
 		if dead {
 			return func(c *CPU) { c.Data[d] = -c.Data[d] }, false
 		}
-		return func(c *CPU) { c.Data[d] = c.subFlags(0, c.Data[d], false, false) }, false
+		return func(c *CPU) { c.Data[d] = c.subFlags(0, c.Data[d], 0, false) }, false
 	case OpSWAP:
 		return func(c *CPU) {
 			v := c.Data[d]
@@ -383,22 +379,12 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 		if dead {
 			return func(c *CPU) { c.Data[d]++ }, false
 		}
-		return func(c *CPU) {
-			v := c.Data[d] + 1
-			c.SetFlag(FlagV, v == 0x80)
-			c.nzs(v)
-			c.Data[d] = v
-		}, false
+		return func(c *CPU) { c.Data[d] = c.incFlags(c.Data[d]) }, false
 	case OpDEC:
 		if dead {
 			return func(c *CPU) { c.Data[d]-- }, false
 		}
-		return func(c *CPU) {
-			v := c.Data[d] - 1
-			c.SetFlag(FlagV, v == 0x7F)
-			c.nzs(v)
-			c.Data[d] = v
-		}, false
+		return func(c *CPU) { c.Data[d] = c.decFlags(c.Data[d]) }, false
 	case OpASR:
 		if dead {
 			return func(c *CPU) {
@@ -408,9 +394,7 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 		}
 		return func(c *CPU) {
 			v := c.Data[d]
-			res := v>>1 | v&0x80
-			c.shiftFlags(res, v&1 != 0)
-			c.Data[d] = res
+			c.Data[d] = c.shiftFlags(v>>1|v&0x80, v)
 		}, false
 	case OpLSR:
 		if dead {
@@ -418,9 +402,7 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 		}
 		return func(c *CPU) {
 			v := c.Data[d]
-			res := v >> 1
-			c.shiftFlags(res, v&1 != 0)
-			c.Data[d] = res
+			c.Data[d] = c.shiftFlags(v>>1, v)
 		}, false
 	case OpROR:
 		if dead {
@@ -431,31 +413,19 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 		}
 		return func(c *CPU) {
 			v := c.Data[d]
-			res := v>>1 | c.Data[AddrSREG]<<7
-			c.shiftFlags(res, v&1 != 0)
-			c.Data[d] = res
+			c.Data[d] = c.shiftFlags(v>>1|c.Data[AddrSREG]<<7, v)
 		}, false
 
 	case OpMUL:
 		if dead {
 			return func(c *CPU) { c.SetRegPair(0, uint16(c.Data[d])*uint16(c.Data[r])) }, false
 		}
-		return func(c *CPU) {
-			p := uint16(c.Data[d]) * uint16(c.Data[r])
-			c.SetRegPair(0, p)
-			c.SetFlag(FlagC, p&0x8000 != 0)
-			c.SetFlag(FlagZ, p == 0)
-		}, false
+		return func(c *CPU) { c.SetRegPair(0, c.mulFlags(uint16(c.Data[d])*uint16(c.Data[r]))) }, false
 	case OpMULS:
 		if dead {
 			return func(c *CPU) { c.SetRegPair(0, uint16(int16(int8(c.Data[d]))*int16(int8(c.Data[r])))) }, false
 		}
-		return func(c *CPU) {
-			p := int16(int8(c.Data[d])) * int16(int8(c.Data[r]))
-			c.SetRegPair(0, uint16(p))
-			c.SetFlag(FlagC, uint16(p)&0x8000 != 0)
-			c.SetFlag(FlagZ, p == 0)
-		}, false
+		return func(c *CPU) { c.SetRegPair(0, c.mulFlags(uint16(int16(int8(c.Data[d]))*int16(int8(c.Data[r]))))) }, false
 	case OpMULSU, OpFMUL:
 		shift := in.Op == OpFMUL
 		if dead {
@@ -472,9 +442,7 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 			if shift {
 				p <<= 1
 			}
-			c.SetRegPair(0, uint16(p))
-			c.SetFlag(FlagC, uint16(p)&0x8000 != 0)
-			c.SetFlag(FlagZ, p == 0)
+			c.SetRegPair(0, c.mulFlags(uint16(p)))
 		}, false
 
 	case OpADIW:
@@ -482,31 +450,13 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 		if dead {
 			return func(c *CPU) { c.SetRegPair(d, c.RegPair(d)+kw) }, false
 		}
-		return func(c *CPU) {
-			v := c.RegPair(d)
-			res := v + kw
-			c.SetRegPair(d, res)
-			c.SetFlag(FlagC, res < v)
-			c.SetFlag(FlagZ, res == 0)
-			c.SetFlag(FlagN, res&0x8000 != 0)
-			c.SetFlag(FlagV, v&0x8000 == 0 && res&0x8000 != 0)
-			c.SetFlag(FlagS, c.Flag(FlagN) != c.Flag(FlagV))
-		}, false
+		return func(c *CPU) { c.SetRegPair(d, c.adiwFlags(c.RegPair(d), kw)) }, false
 	case OpSBIW:
 		kw := uint16(in.K)
 		if dead {
 			return func(c *CPU) { c.SetRegPair(d, c.RegPair(d)-kw) }, false
 		}
-		return func(c *CPU) {
-			v := c.RegPair(d)
-			res := v - kw
-			c.SetRegPair(d, res)
-			c.SetFlag(FlagC, res > v)
-			c.SetFlag(FlagZ, res == 0)
-			c.SetFlag(FlagN, res&0x8000 != 0)
-			c.SetFlag(FlagV, v&0x8000 != 0 && res&0x8000 == 0)
-			c.SetFlag(FlagS, c.Flag(FlagN) != c.Flag(FlagV))
-		}, false
+		return func(c *CPU) { c.SetRegPair(d, c.sbiwFlags(c.RegPair(d), kw)) }, false
 
 	case OpBSET:
 		if d == FlagI {
@@ -607,8 +557,16 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 		// interpreter would have after this instruction, not the block's
 		// batched total: b.body - cb - 2 is the not-yet-earned remainder
 		// (b.body is filled in after emission; closures run later).
+		//
+		// A push into SRAM that leaves SP at or above SRAMBase can
+		// neither fault nor reach a hook: one store, one SP update.
 		return func(c *CPU) {
 			sp := c.SP()
+			if sp > SRAMBase && int(sp) < len(c.Data) {
+				c.Data[sp] = c.Data[d]
+				c.SetSP(sp - 1)
+				return
+			}
 			c.WriteData(sp, c.Data[d])
 			c.SetSP(sp - 1)
 			if sp-1 < SRAMBase && c.fault == nil {
@@ -620,7 +578,15 @@ func (c *CPU) genBody(in Instr, pc uint32, dead bool, b *block, cb uint64) (fn f
 			}
 		}, true
 	case OpPOP:
-		return func(c *CPU) { c.Data[d] = c.PopByte() }, true
+		return func(c *CPU) {
+			sp := int(c.SP()) + 1
+			if sp >= SRAMBase && sp < len(c.Data) {
+				c.SetSP(uint16(sp))
+				c.Data[d] = c.Data[sp]
+				return
+			}
+			c.Data[d] = c.PopByte()
+		}, true
 	}
 
 	// The decode walk only admits ops from isTranslatableBody, which
